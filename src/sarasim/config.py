@@ -18,16 +18,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .controller import POLICIES, QUEUE_NAMES
+from .core import ValidationError
 from .dram import DramTimingConfig
-from .meters import PriorityLut
+from .meters import MalformedLut, PriorityLut
 from .traffic import DmaSpec, SOURCE_KINDS
 
 
 class ParseError(Exception):
-    pass
-
-
-class ValidationError(Exception):
     pass
 
 
@@ -140,6 +137,11 @@ class ScenarioConfig:
             raise ValidationError(f"unknown policy {self.policy}")
         if self.epoch_cycles <= 0:
             raise ValidationError("epoch_cycles must be positive")
+        if self.resolved_duration() <= self.epoch_cycles:
+            # the first NPI sample is taken at cycle epoch_cycles
+            raise ValidationError(
+                f"duration {self.resolved_duration()} cycles must exceed "
+                f"epoch_cycles {self.epoch_cycles}")
         seen = set()
         regions = []
         for e in self.dmas:
@@ -213,6 +215,16 @@ def _convert(raw: str, typ, key: str, lineno: int):
             f"line {lineno}: bad value {raw!r} for key {key!r}") from None
 
 
+def _parse_lut(raw: str, lineno: int) -> tuple:
+    entries = tuple(_convert(v.strip(), float, "lut", lineno)
+                    for v in raw.split(","))
+    try:
+        PriorityLut(entries=entries).validate()
+    except MalformedLut as exc:
+        raise MalformedLut(f"line {lineno}: lut {exc}") from None
+    return entries
+
+
 def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     section = "global"
@@ -227,10 +239,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if req not in dma_raw:
                 raise ValidationError(
                     f"dma {dma_entry['dma_id']}: missing key {req!r}")
-        lut = ()
-        if "lut" in dma_raw:
-            lut = tuple(float(v) for v in dma_raw.pop("lut").split(","))
-        entry = DmaEntry(dma_id=dma_entry["dma_id"], lut=lut, **dma_raw)
+        entry = DmaEntry(dma_id=dma_entry["dma_id"], **dma_raw)
         cfg.dmas.append(entry)
         dma_entry = dma_raw = None
 
@@ -293,7 +302,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError(
                     f"line {lineno}: unknown key {key!r} in [dma ...]")
             if key == "lut":
-                dma_raw[key] = raw
+                dma_raw[key] = _parse_lut(raw, lineno)
             else:
                 dma_raw[key] = _convert(raw, _DMA_KEYS[key], key, lineno)
         else:  # pragma: no cover

@@ -62,6 +62,7 @@ class ControllerState:
         # per-channel cycle before which select cannot possibly succeed;
         # refreshed on every enqueue/issue touching the channel
         self.next_try = {}
+        self._held = {}  # channel -> transactions held for it
 
     # -- queue admission ---------------------------------------------------
 
@@ -79,6 +80,7 @@ class ControllerState:
         txn.queue = qi
         txn.t_enqueued = now
         self.next_try[txn.channel] = 0
+        self._held[txn.channel] = self._held.get(txn.channel, 0) + 1
         self._arrival[txn.id] = self._seq
         self._seq += 1
         self.queues[qi].append(txn)
@@ -189,6 +191,7 @@ class ControllerState:
         self.next_try[channel] = 0  # an issue changes bank and bus state
         txn = self._select_from(ready, dram, now, unhealthy)
         self.queues[txn.queue].remove(txn)
+        self._held[channel] -= 1
         self.occupancy -= 1
         del self._arrival[txn.id]
         self.issued_count += 1
@@ -196,6 +199,13 @@ class ControllerState:
         if wait > self.max_wait:
             self.max_wait = wait
         return txn
+
+    def next_activity(self) -> int:
+        """Earliest cycle at which `select` could issue, or NEVER: the
+        `next_try` of every channel that holds a transaction."""
+        return min((self.next_try.get(ch, 0)
+                    for ch, held in self._held.items() if held),
+                   default=NEVER)
 
     def resident(self):
         for q in self.queues:

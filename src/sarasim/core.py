@@ -21,6 +21,10 @@ class ConfigInvalid(Exception):
     pass
 
 
+class ValidationError(Exception):
+    """A scenario value that parses but is out of range or inconsistent."""
+
+
 @dataclass
 class SimClock:
     """Cycle counter in the DRAM command-clock domain."""
@@ -36,7 +40,7 @@ class SimClock:
         self.cycle += 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transaction:
     id: int
     source: str

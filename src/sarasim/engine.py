@@ -11,6 +11,15 @@ Fixed phase order inside one cycle:
 
 DMAs are always iterated in sorted id order so the result is independent of
 any incidental container ordering.
+
+`run` steps a cycle and then fast-forwards over the cycles in which no phase
+can act (`World.skip_idle`): no epoch, aging or frame boundary falls on
+them, no completion is due, no NoC head is eligible, every channel holding
+controller transactions waits for its `next_try`, and every generator poll
+due on them provably emits nothing.  Such polls are replayed one by one, so
+generator state evolves as it would under per-cycle polling.  The results
+equal those of calling `World.step` on every cycle, which stays the
+single-cycle reference.
 """
 
 from __future__ import annotations
@@ -178,6 +187,12 @@ class World:
         self.completed = 0
         self.max_wait = 0
         self._next_poll = {d: 0 for d in self.dma_order}
+        # periods of the phase-2 boundaries, and the next boundary cycle
+        self._periods = [cfg.epoch_cycles] + [
+            period for _, _, period in self.frame_meters if period > 0]
+        if cfg.policy in AGING_POLICIES:
+            self._periods.append(cfg.aging_period)
+        self._boundary = -1
 
     @staticmethod
     def _build_meter(e, spec, clock_hz, window, desk_scale):
@@ -219,7 +234,7 @@ class World:
                     self.dram.decode_into(txn)
                     self.noc.offer(dma, txn, now)
                     self.generated += 1
-            self._next_poll[dma] = max(gen.next_action_cycle(now), now + 1)
+            self._next_poll[dma] = gen.next_poll_after(now)
 
         # phase 2: meters, priorities, aging
         for dma, meter, period in self.frame_meters:
@@ -257,6 +272,40 @@ class World:
                 self.max_wait = wait
 
         self.clock.advance()
+
+    def skip_idle(self, end: int) -> None:
+        """Advance the clock to the first cycle before `end` at which a
+        phase could change state (or to `end`), replaying the empty
+        generator polls due on the cycles passed over."""
+        now = self.clock.cycle
+        target = self.noc.next_activity(now)  # the commonest reason to stop
+        if target <= now:
+            return
+        if now > self._boundary:
+            self._boundary = min(-(-now // p) * p for p in self._periods)
+        target = min(target, end, self._boundary,
+                     self.controller.next_activity())
+        if self.inflight:
+            target = min(target, self.inflight[0][0])
+        if target <= now:
+            return
+        idle = []
+        for dma in self.dma_order:
+            if self._next_poll[dma] >= target:
+                continue
+            space = self.noc.leaf_space(dma)
+            if self.generators[dma].idle_poll(space):
+                idle.append((dma, space))
+            else:
+                target = self._next_poll[dma]
+                if target <= now:
+                    return
+        for dma, space in idle:
+            poll = self._next_poll[dma]
+            if poll < target:
+                self._next_poll[dma] = self.generators[dma].skip_polls(
+                    poll, target, space)
+        self.clock.cycle = target
 
     def _reevaluate(self, now: int) -> None:
         unhealthy = set()
@@ -325,6 +374,7 @@ def run(scenario: ScenarioConfig, duration_cycles: int | None = None
     world = World(scenario)
     total = scenario.resolved_duration() if duration_cycles is None \
         else duration_cycles
-    for _ in range(total):
+    while world.clock.cycle < total:
         world.step()
+        world.skip_idle(total)
     return world.report()

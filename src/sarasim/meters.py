@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import PRIORITY_LEVELS, READ, Transaction
+from .core import PRIORITY_LEVELS, READ, Transaction, ValidationError
 from .dram import InvalidWindow
 
 NPI_MAX = 16.0
@@ -22,7 +22,7 @@ DRAIN = 0  # display-style: DMA refills, consumer drains
 FILL = 1   # camera-style: producer fills, DMA drains to DRAM
 
 
-class MalformedLut(Exception):
+class MalformedLut(ValidationError):
     pass
 
 

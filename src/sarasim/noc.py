@@ -19,6 +19,7 @@ from collections import deque
 
 from .controller import ControllerState
 from .core import Transaction
+from .dram import NEVER
 
 PRIORITY = "priority"
 FCFS = "fcfs"
@@ -121,6 +122,7 @@ class NocFabric:
             q = deque()
             self.leaf[d] = q
             self._direct_leaf[d] = q
+        self._root_queues = self.cluster_out + list(self._direct_leaf.values())
 
     # -- injection ---------------------------------------------------------
 
@@ -177,6 +179,30 @@ class NocFabric:
             txn = node.grant(win)
             txn.t_hop = now
             out.append(txn)
+
+    def next_activity(self, now: int) -> int:
+        """Earliest cycle at or after `now` at which `step` could move a
+        transaction, or NEVER.
+
+        A head becomes eligible the cycle after it entered its queue. Root
+        heads count even when the controller would refuse them, because a
+        refused grant still moves the root's round-robin pointer; leaves of
+        a cluster whose output FIFO is full do not count.
+        """
+        first = NEVER  # earliest entry cycle of a head that counts
+        for q in self._root_queues:
+            if q:
+                if q[0].t_hop < now:
+                    return now
+                first = min(first, q[0].t_hop)
+        for node, out in zip(self.cluster_nodes, self.cluster_out):
+            if len(out) < self.cluster_depth:
+                for q in node.ports:
+                    if q:
+                        if q[0].t_hop < now:
+                            return now
+                        first = min(first, q[0].t_hop)
+        return first + 1 if first < NEVER else NEVER
 
     # -- aging / accounting ------------------------------------------------
 

@@ -26,6 +26,7 @@ CONSTANT_RATE = "constant_rate"
 LATENCY_PROBE = "latency_probe"
 BANDWIDTH_STREAM = "bandwidth_stream"
 SOURCE_KINDS = (BURSTY_FRAME, CONSTANT_RATE, LATENCY_PROBE, BANDWIDTH_STREAM)
+CREDIT_KINDS = (CONSTANT_RATE, BANDWIDTH_STREAM)
 
 CREDIT_CAP_TXNS = 32
 
@@ -81,6 +82,10 @@ class Generator:
         self.state = GeneratorState(next_address=spec.address_region[0])
         self.rate_per_cycle = spec.rate_bytes_per_s / clock_freq_hz
         self.occupancy_meter = occupancy_meter
+        # credit earned per cycle by a credit-paced stream
+        self.pace = self.rate_per_cycle
+        if occupancy_meter is not None:
+            self.pace *= spec.pace_boost
         self._next_id = id_base
         if spec.source_kind == LATENCY_PROBE and self.rate_per_cycle > 0:
             mean = spec.size_bytes / self.rate_per_cycle
@@ -153,14 +158,8 @@ class Generator:
                 out.append(self._make(now, priority))
                 st.bytes_left_in_frame -= size
 
-        elif kind in (CONSTANT_RATE, BANDWIDTH_STREAM):
-            rate = self.rate_per_cycle
-            if self.occupancy_meter is not None:
-                rate *= spec.pace_boost
-            st.byte_credit += rate * (now - st.last_cycle)
-            cap = CREDIT_CAP_TXNS * size
-            if st.byte_credit > cap:
-                st.byte_credit = cap
+        elif kind in CREDIT_KINDS:
+            self._accrue(now)
             limit = 1 if kind == CONSTANT_RATE else space
             while (st.byte_credit >= size and len(out) < limit
                    and self._occupancy_space()):
@@ -179,6 +178,51 @@ class Generator:
         st.last_cycle = now
         return out
 
+    def _accrue(self, now: int) -> None:
+        st = self.state
+        st.byte_credit += self.pace * (now - st.last_cycle)
+        cap = CREDIT_CAP_TXNS * self.spec.size_bytes
+        if st.byte_credit > cap:
+            st.byte_credit = cap
+        st.last_cycle = now
+
+    def idle_poll(self, space: int) -> bool:
+        """Whether polls with `space` free leaf slots emit nothing until a
+        completion, a meter update or a NoC move changes this generator's
+        inputs: the leaf is full, or an occupancy-gated stream has earned
+        its credit but its buffer has no room for the transaction."""
+        if space <= 0:
+            return True
+        return (self.spec.source_kind in CREDIT_KINDS
+                and self.occupancy_meter is not None
+                and self.state.byte_credit >= self.spec.size_bytes
+                and not self._occupancy_space())
+
+    def skip_polls(self, poll: int, until: int, space: int) -> int:
+        """Replay the polls due from cycle `poll` up to `until` while
+        `idle_poll(space)` holds, exactly as polling at each due cycle
+        would; returns the first poll cycle at or after `until`."""
+        st = self.state
+        cap = CREDIT_CAP_TXNS * self.spec.size_bytes
+        while poll < until:
+            if space <= 0:  # next_requests is not called on a full leaf
+                poll = self.next_poll_after(poll)
+            elif st.byte_credit >= cap:
+                # a capped credit stays capped: later polls only move
+                # last_cycle
+                st.last_cycle = until - 1
+                return until
+            else:
+                # earned credit keeps next_action_cycle at the poll itself,
+                # so a blocked stream is polled every cycle
+                self._accrue(poll)
+                poll += 1
+        return poll
+
+    def next_poll_after(self, now: int) -> int:
+        """Cycle of the poll that follows a poll at `now`."""
+        return max(self.next_action_cycle(now), now + 1)
+
     def next_action_cycle(self, now: int) -> int:
         """Earliest cycle at which this generator may emit again."""
         spec, st = self.spec, self.state
@@ -192,13 +236,10 @@ class Generator:
             if st.pending_probes > 0:
                 return now
             return int(st.next_probe_cycle)
-        rate = self.rate_per_cycle
-        if self.occupancy_meter is not None:
-            rate *= spec.pace_boost
         deficit = spec.size_bytes - st.byte_credit
         if deficit <= 0:
             return now
-        return now + max(1, int(deficit / rate))
+        return now + max(1, int(deficit / self.pace))
 
 
 def next_requests(spec: DmaSpec, state: GeneratorState, clock, rng=None,

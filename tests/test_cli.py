@@ -7,6 +7,21 @@ import pytest
 from sarasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 CASE_A = str(resources.files("sarasim.scenarios") / "case_a.cfg")
+CASE_B = str(resources.files("sarasim.scenarios") / "case_b.cfg")
+
+ONE_DMA = """name = one
+duration_cycles = 5000
+
+[dma dsp]
+core = dsp
+queue = dsp
+cluster = direct
+kind = latency_probe
+meter = latency
+rate_mbps = 10.0
+latency_limit_cycles = 500
+lut = {lut}
+"""
 
 
 def test_run_writes_outputs(tmp_path):
@@ -99,3 +114,24 @@ def test_byte_identical_reruns(tmp_path):
             == (out2 / "npi_QOS.csv").read_bytes())
     assert ((out1 / "summary.csv").read_bytes()
             == (out2 / "summary.csv").read_bytes())
+
+
+@pytest.mark.parametrize("lut", ["1.5,abc,1.3,1.25,1.2,1.15,1.1,0",
+                                 "0.5,0.9,0.8,0.7,0.6,0.5,0.4,0"])
+def test_malformed_lut_is_config_error(tmp_path, capsys, lut):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(ONE_DMA.format(lut=lut))
+    rc = main(["run", "-c", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "line 12" in capsys.readouterr().err
+
+
+def test_duration_within_one_epoch_is_config_error(tmp_path, capsys):
+    # no NPI sample is taken before cycle epoch_cycles (100 in case B)
+    rc = main(["run", "-c", CASE_B, "--duration", "100",
+               "-o", str(tmp_path / "short")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "100" in err and "epoch_cycles" in err
+    assert main(["run", "-c", CASE_B, "--duration", "101",
+                 "-o", str(tmp_path / "long")]) == EXIT_OK

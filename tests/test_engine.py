@@ -4,7 +4,7 @@ transaction conservation, and degenerate worlds."""
 import pytest
 
 from sarasim import engine
-from sarasim.config import parse_config, with_policy
+from sarasim.config import load_packaged_scenario, parse_config, with_policy
 
 MINI = """
 name = mini
@@ -116,3 +116,76 @@ class TestRun:
         report = engine.run(mini_cfg(), duration_cycles=20_000)
         # minimum possible wait: one NoC hop plus a closed-bank access
         assert report.max_wait >= 1 + 34 + 36 + 8
+
+
+def stepped(cfg, cycles):
+    """Reference loop: one World.step() per cycle, no fast-forward."""
+    world = engine.World(cfg)
+    for _ in range(cycles):
+        world.step()
+    return world.report()
+
+
+def executed_cycles(cfg, cycles):
+    """Cycles that engine.run steps; the others are fast-forwarded."""
+    world = engine.World(cfg)
+    out = []
+    while world.clock.cycle < cycles:
+        out.append(world.clock.cycle)
+        world.step()
+        world.skip_idle(cycles)
+    return out
+
+
+def outcome(report):
+    return {
+        "duration": report.duration_cycles,
+        "npi": {d: [(s.cycle, s.npi, s.priority) for s in series]
+                for d, series in report.sink.series.items()},
+        "bytes_by_dma": report.sink.bytes_by_dma,
+        "rows": (report.row_hits, report.row_misses, report.bank_opens),
+        "total_bytes": report.total_bytes,
+        "max_wait": report.max_wait,
+        "generated": report.generated,
+        "completed": report.completed,
+        "resident_at_end": report.resident_at_end,
+    }
+
+
+POLICIES = ("FCFS", "RR", "FRAME_QOS", "QOS", "QOS_RB", "FR_FCFS")
+
+
+class TestFastForward:
+    """engine.run skips cycles in which no phase can act; its results must
+    equal those of stepping every cycle."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mini_equals_per_cycle_loop(self, policy):
+        cfg = with_policy(mini_cfg(), policy)
+        assert (outcome(engine.run(cfg, duration_cycles=20_000))
+                == outcome(stepped(cfg, 20_000)))
+
+    def test_full_leaves_equal_per_cycle_loop(self):
+        # with zero-depth queues every poll finds its leaf full
+        cfg = parse_config(MINI.replace("[dma dsp]",
+                                        "[noc]\ndepth = 0\n\n[dma dsp]"))
+        assert (outcome(engine.run(cfg, duration_cycles=5_000))
+                == outcome(stepped(cfg, 5_000)))
+
+    @pytest.mark.parametrize("case", ["A", "B", "sweep"])
+    def test_packaged_scenarios_equal_per_cycle_loop(self, case):
+        cfg = load_packaged_scenario(case)
+        assert (outcome(engine.run(cfg, duration_cycles=30_000))
+                == outcome(stepped(cfg, 30_000)))
+
+    def test_duration_ending_inside_a_skip(self):
+        # case B without its elastic streams, which would keep every cycle
+        # busy
+        cfg = load_packaged_scenario("B")
+        cfg.dmas = [e for e in cfg.dmas if e.kind != "bandwidth_stream"]
+        cycles = executed_cycles(cfg, 30_000)
+        gaps = [c for c, nxt in zip(cycles, cycles[1:]) if nxt - c > 2]
+        end = gaps[len(gaps) // 2] + 2  # strictly inside a skipped stretch
+        assert end not in cycles
+        assert (outcome(engine.run(cfg, duration_cycles=end))
+                == outcome(stepped(cfg, end)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sarasim.core import READ, WRITE
+from sarasim.meters import DRAIN, OccupancyMeter
 from sarasim.traffic import (BANDWIDTH_STREAM, BURSTY_FRAME, CONSTANT_RATE,
                              CREDIT_CAP_TXNS, LATENCY_PROBE, DmaSpec,
                              Generator, make_dataflow_scenario)
@@ -59,6 +60,45 @@ class TestConstantRate:
         for now in range(1_000_000, 1_000_200):
             txns += gen.next_requests(now, 8)
         assert len(txns) <= CREDIT_CAP_TXNS + 200 * 500.0e6 / CLOCK / 64 + 1
+
+
+class TestSkippedPolls:
+    """Generator.skip_polls must leave the state bit-identical to polling
+    once per cycle, as the engine does without fast-forward."""
+
+    @staticmethod
+    def blocked_drain_stream():
+        # display-style refill at an inexact credit per cycle; the buffer
+        # has no headroom, so the earned credit cannot be spent
+        rate = 1.1703e9
+        meter = OccupancyMeter("d", 256.0, rate, CLOCK, direction=DRAIN)
+        meter.occupancy = 240.0
+        spec = DmaSpec(dma_id="d", core="c", source_kind=CONSTANT_RATE,
+                       rate_bytes_per_s=rate)
+        gen = Generator(spec, np.random.default_rng(0), CLOCK,
+                        occupancy_meter=meter)
+        poll = 0
+        while gen.state.byte_credit < spec.size_bytes:
+            assert gen.next_requests(poll, 8) == []
+            poll = gen.next_poll_after(poll)
+        return gen, poll
+
+    @pytest.mark.parametrize("until_offset", [1, 37, 5_000])
+    def test_blocked_drain_replay_matches_polling(self, until_offset):
+        ref, poll = self.blocked_drain_stream()
+        fast, _ = self.blocked_drain_stream()
+        until = poll + until_offset
+        assert fast.idle_poll(8)
+        next_poll = fast.skip_polls(poll, until, 8)
+        while poll < until:
+            assert ref.next_requests(poll, 8) == []
+            poll = ref.next_poll_after(poll)
+        assert next_poll == poll
+        # repr round-trips a float exactly
+        assert repr(fast.state.byte_credit) == repr(ref.state.byte_credit)
+        assert fast.state.last_cycle == ref.state.last_cycle
+        capped = ref.state.byte_credit == CREDIT_CAP_TXNS * 64
+        assert capped == (until_offset == 5_000)
 
 
 class TestBurstyFrame:
