@@ -15,6 +15,26 @@ Policies:
 
 Aged transactions outrank every priority level until completed; aging is
 active only under QOS and QOS_RB.
+
+Ready set.  Each held transaction caches its last `DramModel.earliest_issue`
+result (`issue_at`) and the end of the data burst behind it (`done_at`), and
+a scan of a channel recomputes a transaction only when
+
+  - it arrived since the last scan of the channel (`issue_at` is -1),
+  - its cached cycle is earlier than `now` (it was ready but lost),
+  - the sequence issued since the last scan used the same rank and bank,
+  - that sequence activated a row in the same rank while the transaction
+    needs an activate itself (tRRD/tFAW), or
+  - that sequence's data window overlaps the cached one,
+
+and recomputes every transaction of the channel when anything else may have
+happened: more than one sequence issued since the last scan, another
+DramModel, or a scan at an earlier cycle than the last.  Every other cached
+value is exact.  A new command only removes legal start cycles and never
+adds one, and `_ChannelBus.prune` drops only windows that end at or before
+`now`, so a cached start that is still legal is still the earliest.  In the
+engine at most one sequence is issued on a channel between two scans: an
+issue resets `next_try`, so the next `select` on the channel scans again.
 """
 
 from __future__ import annotations
@@ -55,19 +75,14 @@ class ControllerState:
         self.occupancy = 0
         self.rr_pointer = 0
         self._seq = 0
-        self._arrival = {}  # txn id -> arrival sequence for FCFS tie-breaks
-        self.max_wait = 0
-        self.enqueued_count = 0
-        self.issued_count = 0
         # per-channel cycle before which select cannot possibly succeed;
         # refreshed on every enqueue/issue touching the channel
         self.next_try = {}
-        self._held = {}  # channel -> transactions held for it
+        self._held = {}  # channel -> transactions held for it, oldest first
+        # channel -> (DramModel, its issue count, cycle) at the last scan
+        self._scanned = {}
 
     # -- queue admission ---------------------------------------------------
-
-    def queue_index(self, dma_id: str) -> int:
-        return self.queue_of_dma[dma_id]
 
     def enqueue(self, txn: Transaction, now: int) -> bool:
         """Append txn to its designated queue; False means backpressure."""
@@ -79,13 +94,16 @@ class ControllerState:
             return False
         txn.queue = qi
         txn.t_enqueued = now
-        self.next_try[txn.channel] = 0
-        self._held[txn.channel] = self._held.get(txn.channel, 0) + 1
-        self._arrival[txn.id] = self._seq
+        txn.seq = self._seq
+        txn.issue_at = -1
         self._seq += 1
+        self.next_try[txn.channel] = 0
+        held = self._held.get(txn.channel)
+        if held is None:
+            held = self._held[txn.channel] = []
+        held.append(txn)
         self.queues[qi].append(txn)
         self.occupancy += 1
-        self.enqueued_count += 1
         return True
 
     # -- aging -------------------------------------------------------------
@@ -101,22 +119,38 @@ class ControllerState:
     # -- scheduling --------------------------------------------------------
 
     def _ready(self, dram: DramModel, channel: int, now: int) -> tuple:
-        """(issuable txns, earliest future cycle any txn could become ready)."""
+        """(issuable txns, earliest future cycle any txn could become ready),
+        recomputing only the cached values the module docstring names."""
+        issued, rank, bank, activated, w_start, w_end = dram.last_issue[channel]
+        last = self._scanned.get(channel)
+        self._scanned[channel] = (dram, issued, now)
+        stale = (last is None or last[0] is not dram or now < last[2]
+                 or issued - last[1] > 1)
+        if not stale and issued == last[1]:  # nothing issued since
+            rank, w_start = -1, NEVER
+        hit_latency = dram.latency[ROW_HIT]
+        # a cached burst ending at done_at overlaps [w_start, w_end) iff
+        # w_start < done_at < w_end + tBURST
+        w_end += dram.timing.tBURST
         out = []
         horizon = NEVER
-        for q in self.queues:
-            for txn in q:
-                if txn.channel != channel:
-                    continue
-                at = dram.earliest_issue(txn, now)
-                if at == now:
-                    out.append(txn)
-                elif at < horizon:
-                    horizon = at
+        for txn in self._held.get(channel, ()):
+            at = txn.issue_at
+            if (stale or at < now
+                    or txn.rank == rank and (
+                        txn.bank == bank
+                        or activated and txn.done_at - at > hit_latency)
+                    or w_start < txn.done_at < w_end):
+                at = txn.issue_at = dram.earliest_issue(txn, now)
+                txn.done_at = at + dram.latency[dram.classify(txn)]
+            if at == now:
+                out.append(txn)
+            elif at < horizon:
+                horizon = at
         return out, horizon
 
     def _arrival_key(self, txn: Transaction):
-        return (txn.t_enqueued, self._arrival[txn.id])
+        return (txn.t_enqueued, txn.seq)
 
     def _oldest(self, txns) -> Transaction:
         return min(txns, key=self._arrival_key)
@@ -191,13 +225,8 @@ class ControllerState:
         self.next_try[channel] = 0  # an issue changes bank and bus state
         txn = self._select_from(ready, dram, now, unhealthy)
         self.queues[txn.queue].remove(txn)
-        self._held[channel] -= 1
+        self._held[channel].remove(txn)
         self.occupancy -= 1
-        del self._arrival[txn.id]
-        self.issued_count += 1
-        wait = now - txn.t_created
-        if wait > self.max_wait:
-            self.max_wait = wait
         return txn
 
     def next_activity(self) -> int:

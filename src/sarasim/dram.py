@@ -7,8 +7,10 @@ may never overlap (they may be granted out of order, so activate/precharge
 work in one bank overlaps data transfer from another).
 
 A whole command sequence (optional PRE, optional ACT, then RD/WR) is issued
-atomically; `can_issue` and `issue` share one planning routine so that an
-IllegalIssue can only indicate a scheduler bug.
+atomically; `issue` re-checks `earliest_issue`, so an IllegalIssue can only
+indicate a scheduler bug.  `last_issue` describes the newest sequence of each
+channel, so a scheduler that caches `earliest_issue` results can tell which
+of them that sequence may have changed.
 
 Open-page policy: a row stays open until a conflicting access forces a
 precharge.  Refresh is not modeled.
@@ -193,6 +195,14 @@ class DramModel:
         self.rank_activates = [[[] for _ in range(timing.ranks)]
                                for _ in range(timing.channels)]
         self.bus = [_ChannelBus(timing.tBURST) for _ in range(timing.channels)]
+        # cycles from issue to the end of the data burst, by classification
+        self.latency = tuple(service_latency(c, timing)
+                             for c in (ROW_HIT, ROW_MISS, BANK_CLOSED))
+        # per channel: (sequences issued so far, rank, bank, whether it
+        # activated a row, data window start, data window end) of the newest
+        # sequence; the controller module docstring says which cached
+        # `earliest_issue` results it can have changed
+        self.last_issue = [(0, -1, -1, False, 0, 0)] * timing.channels
         self.row_hits = 0
         self.row_misses = 0
         self.bank_opens = 0
@@ -239,9 +249,6 @@ class DramModel:
         completion = self.bus[txn.channel].earliest(start + data_latency)
         return completion - data_latency
 
-    def can_issue(self, txn: Transaction, now: int) -> bool:
-        return self.earliest_issue(txn, now) == now
-
     def issue(self, txn: Transaction, now: int) -> int:
         """Issue the full command sequence for txn; returns completion cycle."""
         if self.earliest_issue(txn, now) != now:
@@ -281,6 +288,9 @@ class DramModel:
         bus = self.bus[txn.channel]
         bus.prune(now)
         bus.reserve(completion)
+        self.last_issue[txn.channel] = (
+            self.last_issue[txn.channel][0] + 1, txn.rank, txn.bank,
+            cls != ROW_HIT, completion - t.tBURST, completion)
         self.bytes_done += txn.size_bytes
         return completion
 

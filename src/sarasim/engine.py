@@ -25,7 +25,7 @@ single-cycle reference.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import metrics
 from .config import ScenarioConfig
@@ -119,8 +119,7 @@ class World:
         self.cfg = cfg
         clock_hz = cfg.command_clock_hz
         self.clock = SimClock(0, clock_hz)
-        timing = cfg.dram
-        timing.clock_freq_hz = clock_hz
+        timing = replace(cfg.dram, clock_freq_hz=clock_hz)
         self.dram = DramModel(timing)
 
         entries = sorted(cfg.dmas, key=lambda e: e.dma_id)

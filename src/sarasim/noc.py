@@ -112,17 +112,16 @@ class NocFabric:
             self.cluster_nodes.append(node)
             self.cluster_out.append(deque())
         self.direct = [d for d in dma_order if d in direct]
-        # root ports: clusters first, then direct DMAs
-        self.root_sources = ([("cluster", i) for i in range(len(self.cluster_nodes))]
-                             + [("direct", d) for d in self.direct])
-        self.roots = [ArbiterNode(f"root{ch}", len(self.root_sources), depth, mode)
-                      for ch in range(channels)]
-        self._direct_leaf = {}
         for d in self.direct:
-            q = deque()
-            self.leaf[d] = q
-            self._direct_leaf[d] = q
-        self._root_queues = self.cluster_out + list(self._direct_leaf.values())
+            self.leaf[d] = deque()
+        # root ports: cluster output FIFOs first, then direct DMA leaves;
+        # each root's arbitration view shares these FIFOs
+        self._root_queues = self.cluster_out + [self.leaf[d] for d in self.direct]
+        self.roots = []
+        for ch in range(channels):
+            root = ArbiterNode(f"root{ch}", len(self._root_queues), depth, mode)
+            root.ports = list(self._root_queues)
+            self.roots.append(root)
 
     # -- injection ---------------------------------------------------------
 
@@ -139,34 +138,19 @@ class NocFabric:
 
     # -- one simulation cycle ---------------------------------------------
 
-    def _root_head(self, src, channel: int, now: int):
-        if src[0] == "cluster":
-            q = self.cluster_out[src[1]]
-        else:
-            q = self._direct_leaf[src[1]]
-        if q and q[0].t_hop < now and q[0].channel == channel:
-            return q
-        return None
-
     def step(self, now: int, controller: ControllerState) -> None:
         # roots drain cluster outputs and direct leaves into the controller
         for ch, root in enumerate(self.roots):
-            queues = {}
-            eligible = []
-            for i, src in enumerate(self.root_sources):
-                q = self._root_head(src, ch, now)
-                if q is not None:
-                    root.ports[i] = q  # arbitration view shares the FIFO
-                    queues[i] = q
-                    eligible.append(i)
+            eligible = [i for i, q in enumerate(root.ports)
+                        if q and q[0].t_hop < now and q[0].channel == ch]
             if not eligible:
                 continue
             win = root.arbitrate(now, eligible)
             if win is None:
                 continue
-            txn = queues[win][0]
-            if controller.enqueue(txn, now):
-                queues[win].popleft()
+            q = root.ports[win]
+            if controller.enqueue(q[0], now):
+                q.popleft()
 
         # clusters move leaf heads into their output FIFO
         for ci, node in enumerate(self.cluster_nodes):

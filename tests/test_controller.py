@@ -4,13 +4,15 @@ controller states are checked against independent brute-force references
 that implement the priority-round-robin and row-buffer-aware policy texts
 literally."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from sarasim.controller import (AGING_POLICIES, NUM_QUEUES, POLICIES,
                                 QUEUE_NAMES, ControllerState)
-from sarasim.core import READ, Transaction
-from sarasim.dram import ROW_HIT, DramModel, DramTimingConfig
+from sarasim.core import READ, WRITE, Transaction
+from sarasim.dram import NEVER, ROW_HIT, DramModel, DramTimingConfig
 
 
 def model():
@@ -280,7 +282,6 @@ class TestPolicyProperties:
                 continue
             twin = make_controller(policy="QOS")
             twin.rr_pointer = ctrl.rr_pointer  # before select advances it
-            twin._arrival = ctrl._arrival
             expect = reference_policy1(twin, ready)
             got = ctrl._select_from(list(ready), dram, 0, frozenset())
             assert got is expect
@@ -303,3 +304,90 @@ class TestPolicyProperties:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             make_controller(policy="LIFO")
+
+
+# -- cached ready set against a brute-force scan -----------------------------
+
+def random_txn(rng, dram, id, now):
+    t = dram.timing
+    addr = dram.address_map.encode(
+        channel=int(rng.integers(t.channels)), rank=int(rng.integers(t.ranks)),
+        bank=int(rng.integers(t.banks)), row=int(rng.integers(3)),
+        column=int(rng.integers(1 << t.column_bits)))
+    txn = Transaction(id=id, source=QUEUE_NAMES[int(rng.integers(NUM_QUEUES))],
+                      kind=READ if rng.random() < 0.7 else WRITE, address=addr,
+                      priority=int(rng.integers(8)), t_created=now)
+    dram.decode_into(txn)
+    return txn
+
+
+class TestCachedReadySet:
+    """select caches each held transaction's earliest_issue result; before
+    every select the ready set and horizon are recomputed from scratch by
+    calling earliest_issue on every held transaction of the channel, and
+    select's choice, its next_try and its cached values must match."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_select_matches_brute_force_scan(self, policy):
+        rng = np.random.default_rng(zlib.crc32(policy.encode()))
+        dram = DramModel(DramTimingConfig())
+        ctrl = make_controller(policy=policy, delta=int(rng.integers(1, 8)))
+        unhealthy = frozenset({"media"} if policy == "FRAME_QOS" else ())
+        next_id, now, issued = 0, 0, 0
+        while now < 12_000:
+            for _ in range(int(rng.integers(0, 3))):
+                ctrl.enqueue(random_txn(rng, dram, next_id, now), now)
+                next_id += 1
+            if rng.random() < 0.01:
+                ctrl.apply_aging(now + int(rng.integers(10_000)))
+            for ch in range(dram.timing.channels):
+                held = [t for t in ctrl.resident() if t.channel == ch]
+                at = {t.id: dram.earliest_issue(t, now) for t in held}
+                ready = [t for t in held if at[t.id] == now]
+                horizon = min(at.values(), default=NEVER)
+                scans = now >= ctrl.next_try.get(ch, 0)
+                rr = ctrl.rr_pointer
+                expect = (ctrl._select_from(list(ready), dram, now, unhealthy)
+                          if ready else None)
+                ctrl.rr_pointer = rr
+                got = ctrl.select(dram, ch, now, unhealthy)
+                if not scans:
+                    # skipped: nothing can be ready before next_try
+                    assert not ready and ctrl.next_try[ch] == horizon
+                    continue
+                assert got is expect
+                assert ctrl.next_try[ch] == (0 if ready else horizon)
+                for t in held:
+                    if t is not got:
+                        assert t.issue_at == at[t.id]
+                        assert t.done_at == (at[t.id]
+                                             + dram.latency[dram.classify(t)])
+                if got is not None and rng.random() < 0.98:
+                    dram.issue(got, now)
+                    issued += 1
+            if rng.random() < 0.05:
+                # sequences issued behind the controller's back
+                for _ in range(int(rng.integers(1, 3))):
+                    txn = random_txn(rng, dram, next_id, now)
+                    next_id += 1
+                    if dram.earliest_issue(txn, now) == now:
+                        dram.issue(txn, now)
+            now += 1 if rng.random() < 0.9 else int(rng.integers(2, 60))
+        assert issued > 1000
+
+    def test_rescans_at_an_earlier_cycle_or_on_another_model(self):
+        dram, c = model(), make_controller(policy="FCFS")
+        a, b = make_txn(dram, 1, bank=0), make_txn(dram, 2, bank=1)
+        c.enqueue(a, 0)
+        c.enqueue(b, 0)
+        assert c.select(dram, 0, 100) is a  # b was ready too, and lost
+        assert c.select(dram, 0, 50) is b
+
+        busy, fresh = model(), model()
+        busy.issue(make_txn(busy, 3, bank=2, row=0), 0)
+        miss = make_txn(busy, 4, bank=2, row=1)
+        hit = make_txn(busy, 5, bank=2, row=0)
+        c.enqueue(miss, 1)
+        c.enqueue(hit, 1)
+        assert c.select(busy, 0, 42) is hit  # miss waits for tRTP until 48
+        assert c.select(fresh, 0, 42) is miss

@@ -112,6 +112,14 @@ class TestRun:
         assert total > 0
         assert 0.0 <= report.row_hit_rate <= 1.0
 
+    def test_world_leaves_the_config_unchanged(self):
+        cfg = load_packaged_scenario("A")
+        cfg.desk_scale = 64
+        clock = cfg.dram.clock_freq_hz
+        world = engine.World(cfg)
+        assert cfg.dram.clock_freq_hz == clock
+        assert world.dram.timing.clock_freq_hz == cfg.command_clock_hz
+
     def test_latency_meter_sees_noc_plus_dram_latency(self):
         report = engine.run(mini_cfg(), duration_cycles=20_000)
         # minimum possible wait: one NoC hop plus a closed-bank access
