@@ -161,7 +161,7 @@ class ScenarioConfig:
             if not 0.0 <= e.read_fraction <= 1.0:
                 raise ValidationError(f"{e.dma_id}: read_fraction out of range")
             if e.lut:
-                PriorityLut(entries=tuple(e.lut)).validate()
+                PriorityLut(entries=tuple(e.lut))  # validates itself
             regions.append((e.dma_id, e.region_base_kb,
                             e.region_base_kb + e.region_len_kb))
         regions.sort(key=lambda r: r[1])
@@ -219,7 +219,7 @@ def _parse_lut(raw: str, lineno: int) -> tuple:
     entries = tuple(_convert(v.strip(), float, "lut", lineno)
                     for v in raw.split(","))
     try:
-        PriorityLut(entries=entries).validate()
+        PriorityLut(entries=entries)  # validates itself
     except MalformedLut as exc:
         raise MalformedLut(f"line {lineno}: lut {exc}") from None
     return entries

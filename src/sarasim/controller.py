@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Transaction
+from .core import Transaction, next_in_turn
 from .dram import NEVER, ROW_HIT, DramModel
 
 QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
@@ -155,6 +155,16 @@ class ControllerState:
     def _oldest(self, txns) -> Transaction:
         return min(txns, key=self._arrival_key)
 
+    def _round_robin(self, candidates) -> Transaction:
+        """Oldest candidate of the first queue in turn after rr_pointer."""
+        oldest = {}
+        for t in candidates:
+            prev = oldest.get(t.queue)
+            if prev is None or self._arrival_key(t) < self._arrival_key(prev):
+                oldest[t.queue] = t
+        self.rr_pointer = next_in_turn(sorted(oldest), self.rr_pointer)
+        return oldest[self.rr_pointer]
+
     def _priority_round_robin(self, ready) -> Transaction:
         """Policy 1 over an arbitrary ready set."""
         aged = [t for t in ready if t.aged]
@@ -163,17 +173,7 @@ class ControllerState:
         else:
             maxp = max(t.priority for t in ready)
             candidates = [t for t in ready if t.priority == maxp]
-        by_queue = {}
-        for t in candidates:
-            prev = by_queue.get(t.queue)
-            if prev is None or self._arrival_key(t) < self._arrival_key(prev):
-                by_queue[t.queue] = t
-        for step in range(1, NUM_QUEUES + 1):
-            qi = (self.rr_pointer + step) % NUM_QUEUES
-            if qi in by_queue:
-                self.rr_pointer = qi
-                return by_queue[qi]
-        raise AssertionError("candidates cannot be empty")
+        return self._round_robin(candidates)
 
     def _select_from(self, ready, dram: DramModel, now: int,
                      unhealthy: set) -> Transaction:
@@ -181,16 +181,7 @@ class ControllerState:
         if policy == FCFS:
             return self._oldest(ready)
         if policy == RR:
-            by_queue = {}
-            for t in ready:
-                prev = by_queue.get(t.queue)
-                if prev is None or self._arrival_key(t) < self._arrival_key(prev):
-                    by_queue[t.queue] = t
-            for step in range(1, NUM_QUEUES + 1):
-                qi = (self.rr_pointer + step) % NUM_QUEUES
-                if qi in by_queue:
-                    self.rr_pointer = qi
-                    return by_queue[qi]
+            return self._round_robin(ready)
         if policy == FRAME_QOS:
             boosted = [t for t in ready if t.source in unhealthy]
             return self._oldest(boosted) if boosted else self._oldest(ready)

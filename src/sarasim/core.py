@@ -32,12 +32,17 @@ class SimClock:
     cycle: int = 0
     controller_freq_hz: float = 933.0e6
 
-    def seconds(self, cycles: int | None = None) -> float:
-        n = self.cycle if cycles is None else cycles
-        return n / self.controller_freq_hz
-
     def advance(self) -> None:
         self.cycle += 1
+
+
+def next_in_turn(indices, pointer: int) -> int:
+    """Round-robin turn that starts after `pointer`: the first of the
+    ascending, non-empty `indices` above `pointer`, else the lowest."""
+    for i in indices:
+        if i > pointer:
+            return i
+    return indices[0]
 
 
 @dataclass(slots=True, eq=False)

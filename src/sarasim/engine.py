@@ -12,6 +12,12 @@ Fixed phase order inside one cycle:
 DMAs are always iterated in sorted id order so the result is independent of
 any incidental container ordering.
 
+A generator whose leaf queue is full is parked: it is not polled until the
+NoC takes a head from that leaf (`NocFabric.drained`).  Its polls in the
+meantime would find the leaf full, call no `next_requests` and leave its
+state unchanged, so on waking it resumes at `Generator.poll_from`, the
+cycle those polls would have reached.
+
 `run` steps a cycle and then fast-forwards over the cycles in which no phase
 can act (`World.skip_idle`): no epoch, aging or frame boundary falls on
 them, no completion is due, no NoC head is eligible, every channel holding
@@ -31,7 +37,7 @@ from . import metrics
 from .config import ScenarioConfig
 from .controller import AGING_POLICIES, ControllerState, QUEUE_NAMES
 from .core import ConfigInvalid, SimClock, Transaction
-from .dram import DramModel, DramTimingConfig
+from .dram import NEVER, DramModel
 from .meters import (DRAIN, FILL, FRAME_PROGRESS_LUT, BandwidthMeter,
                      FrameProgressMeter, LatencyMeter, OccupancyMeter,
                      PriorityLut, translate)
@@ -163,7 +169,6 @@ class World:
                 lut = PriorityLut(entries=FRAME_PROGRESS_LUT)
             else:
                 lut = PriorityLut()
-            lut.validate()
             self.luts[e.dma_id] = lut
             rng = dma_stream(cfg.seed, e.dma_id)
             occ = meter if isinstance(meter, OccupancyMeter) else None
@@ -186,6 +191,8 @@ class World:
         self.completed = 0
         self.max_wait = 0
         self._next_poll = {d: 0 for d in self.dma_order}
+        # parked DMA -> its next poll, which would find the leaf full
+        self._parked = {}
         # periods of the phase-2 boundaries, and the next boundary cycle
         self._periods = [cfg.epoch_cycles] + [
             period for _, _, period in self.frame_meters if period > 0]
@@ -222,7 +229,8 @@ class World:
         now = self.clock.cycle
         cfg = self.cfg
 
-        # phase 1: traffic generation
+        # phase 1: traffic generation; a DMA whose leaf is full is parked
+        # until the NoC drains the leaf
         for dma in self.dma_order:
             if now < self._next_poll[dma]:
                 continue
@@ -233,7 +241,12 @@ class World:
                     self.dram.decode_into(txn)
                     self.noc.offer(dma, txn, now)
                     self.generated += 1
-            self._next_poll[dma] = gen.next_poll_after(now)
+                    space -= 1
+            if space > 0:
+                self._next_poll[dma] = gen.next_poll_after(now)
+            else:
+                self._parked[dma] = gen.next_poll_after(now)
+                self._next_poll[dma] = NEVER
 
         # phase 2: meters, priorities, aging
         for dma, meter, period in self.frame_meters:
@@ -246,8 +259,17 @@ class World:
             self.controller.apply_aging(now)
             self.noc.age_resident(now, cfg.aging_period)
 
-        # phase 3: NoC arbitration
+        # phase 3: NoC arbitration, then wake the parked DMAs it drained:
+        # their polls up to now found the leaf full and changed nothing
         self.noc.step(now, self.controller)
+        drained = self.noc.drained
+        if drained:
+            for dma in drained:
+                poll = self._parked.pop(dma, None)
+                if poll is not None:
+                    self._next_poll[dma] = self.generators[dma].poll_from(
+                        poll, now + 1)
+            drained.clear()
 
         # phase 4: scheduling + DRAM issue
         for ch in range(self.dram.timing.channels):
@@ -292,18 +314,17 @@ class World:
         for dma in self.dma_order:
             if self._next_poll[dma] >= target:
                 continue
-            space = self.noc.leaf_space(dma)
-            if self.generators[dma].idle_poll(space):
-                idle.append((dma, space))
+            if self.generators[dma].idle_poll():
+                idle.append(dma)
             else:
                 target = self._next_poll[dma]
                 if target <= now:
                     return
-        for dma, space in idle:
+        for dma in idle:
             poll = self._next_poll[dma]
             if poll < target:
                 self._next_poll[dma] = self.generators[dma].skip_polls(
-                    poll, target, space)
+                    poll, target)
         self.clock.cycle = target
 
     def _reevaluate(self, now: int) -> None:

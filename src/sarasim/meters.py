@@ -40,13 +40,16 @@ def clamp_npi(value: float) -> float:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorityLut:
     """2**k lower-bound NPI values; entries[p] is the lowest NPI admitted at
     priority level p.  Monotone non-increasing, floor entry 0."""
 
     entries: tuple = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.0)
     k: int = 3
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if len(self.entries) != (1 << self.k):
@@ -63,8 +66,8 @@ FRAME_PROGRESS_LUT = (1.0, 1.0, 1.0, 0.75, 0.75, 0.5, 0.5, 0.0)
 
 
 def translate(lut: PriorityLut, npi: float) -> int:
-    """Lowest priority level whose NPI lower bound admits `npi`."""
-    lut.validate()
+    """Lowest priority level whose NPI lower bound admits `npi`.  Expects a
+    validated `lut`, as every `PriorityLut` is once constructed."""
     for level, bound in enumerate(lut.entries):
         if npi >= bound:
             return level

@@ -18,13 +18,41 @@ from __future__ import annotations
 from collections import deque
 
 from .controller import ControllerState
-from .core import Transaction
+from .core import PRIORITY_LEVELS, Transaction, next_in_turn
 from .dram import NEVER
 
 PRIORITY = "priority"
 FCFS = "fcfs"
 ROUND_ROBIN = "rr"
 MODES = (PRIORITY, FCFS, ROUND_ROBIN)
+
+
+def pick(ports, eligible, rr_pointer: int, mode: str) -> int:
+    """The winning index among `eligible`, the ascending, non-empty indices
+    of the `ports` whose head may be granted.
+
+    FCFS takes the oldest head (lowest index on a tie).  PRIORITY keeps the
+    ports whose head ranks highest by (aged, priority) and RR keeps them
+    all; of those kept, the first in turn after `rr_pointer` wins.
+    """
+    if mode == FCFS:
+        win, oldest = -1, None
+        for i in eligible:
+            created = ports[i][0].t_created
+            if oldest is None or created < oldest:
+                win, oldest = i, created
+        return win
+    if mode == PRIORITY:
+        kept, best = [], -1
+        for i in eligible:
+            head = ports[i][0]
+            rank = head.priority + PRIORITY_LEVELS * head.aged
+            if rank > best:
+                kept, best = [i], rank
+            elif rank == best:
+                kept.append(i)
+        eligible = kept
+    return next_in_turn(eligible, rr_pointer)
 
 
 class ArbiterNode:
@@ -58,22 +86,10 @@ class ArbiterNode:
             eligible = self.eligible_ports(now)
         if not eligible:
             return None
-        if self.mode == FCFS:
-            return min(eligible, key=lambda i: (self.ports[i][0].t_created, i))
-        if self.mode == PRIORITY:
-            def rank(i):
-                head = self.ports[i][0]
-                return (1 if head.aged else 0, head.priority)
-            best = max(rank(i) for i in eligible)
-            eligible = [i for i in eligible if rank(i) == best]
-        # round-robin among what is left, starting after rr_pointer
-        n = len(self.ports)
-        for step in range(1, n + 1):
-            i = (self.rr_pointer + step) % n
-            if i in eligible:
-                self.rr_pointer = i
-                return i
-        return None
+        win = pick(self.ports, eligible, self.rr_pointer, self.mode)
+        if self.mode != FCFS:
+            self.rr_pointer = win
+        return win
 
     def grant(self, port: int) -> Transaction:
         return self.ports[port].popleft()
@@ -101,6 +117,7 @@ class NocFabric:
         self.leaf_port = {}
         self.cluster_names = sorted(clusters)
         self.cluster_nodes = []
+        self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
         for name in self.cluster_names:
             members = [d for d in dma_order if d in clusters[name]]
@@ -110,6 +127,7 @@ class NocFabric:
                 self.leaf_port[dma] = port
                 self.leaf[dma] = node.ports[port]
             self.cluster_nodes.append(node)
+            self.cluster_members.append(members)
             self.cluster_out.append(deque())
         self.direct = [d for d in dma_order if d in direct]
         for d in self.direct:
@@ -122,6 +140,11 @@ class NocFabric:
             root = ArbiterNode(f"root{ch}", len(self._root_queues), depth, mode)
             root.ports = list(self._root_queues)
             self.roots.append(root)
+        # DMA id behind each root port: None for a cluster output
+        self._root_leaf = [None] * len(self.cluster_out) + self.direct
+        # DMAs whose leaf lost a head in `step`, in grant order; the caller
+        # empties it
+        self.drained = []
 
     # -- injection ---------------------------------------------------------
 
@@ -151,6 +174,8 @@ class NocFabric:
             q = root.ports[win]
             if controller.enqueue(q[0], now):
                 q.popleft()
+                if self._root_leaf[win] is not None:
+                    self.drained.append(self._root_leaf[win])
 
         # clusters move leaf heads into their output FIFO
         for ci, node in enumerate(self.cluster_nodes):
@@ -163,6 +188,7 @@ class NocFabric:
             txn = node.grant(win)
             txn.t_hop = now
             out.append(txn)
+            self.drained.append(self.cluster_members[ci][win])
 
     def next_activity(self, now: int) -> int:
         """Earliest cycle at or after `now` at which `step` could move a

@@ -186,38 +186,50 @@ class Generator:
             st.byte_credit = cap
         st.last_cycle = now
 
-    def idle_poll(self, space: int) -> bool:
-        """Whether polls with `space` free leaf slots emit nothing until a
-        completion, a meter update or a NoC move changes this generator's
-        inputs: the leaf is full, or an occupancy-gated stream has earned
-        its credit but its buffer has no room for the transaction."""
-        if space <= 0:
-            return True
+    def idle_poll(self) -> bool:
+        """Whether polls emit nothing until a completion or a meter update
+        changes this generator's inputs: an occupancy-gated stream has
+        earned its credit but its buffer has no room for the transaction.
+        Polls behind a full leaf never reach the generator (see
+        `poll_from`)."""
         return (self.spec.source_kind in CREDIT_KINDS
                 and self.occupancy_meter is not None
                 and self.state.byte_credit >= self.spec.size_bytes
                 and not self._occupancy_space())
 
-    def skip_polls(self, poll: int, until: int, space: int) -> int:
+    def skip_polls(self, poll: int, until: int) -> int:
         """Replay the polls due from cycle `poll` up to `until` while
-        `idle_poll(space)` holds, exactly as polling at each due cycle
-        would; returns the first poll cycle at or after `until`."""
+        `idle_poll()` holds, exactly as polling at each due cycle would;
+        returns the first poll cycle at or after `until`."""
         st = self.state
         cap = CREDIT_CAP_TXNS * self.spec.size_bytes
         while poll < until:
-            if space <= 0:  # next_requests is not called on a full leaf
-                poll = self.next_poll_after(poll)
-            elif st.byte_credit >= cap:
+            if st.byte_credit >= cap:
                 # a capped credit stays capped: later polls only move
                 # last_cycle
                 st.last_cycle = until - 1
                 return until
-            else:
-                # earned credit keeps next_action_cycle at the poll itself,
-                # so a blocked stream is polled every cycle
-                self._accrue(poll)
-                poll += 1
+            # earned credit keeps next_action_cycle at the poll itself, so
+            # a blocked stream is polled every cycle
+            self._accrue(poll)
+            poll += 1
         return poll
+
+    def poll_from(self, poll: int, cycle: int) -> int:
+        """First cycle at or after `cycle` in the poll sequence `poll`,
+        `next_poll_after(poll)`, ... of a generator whose state does not
+        change, as behind a full leaf, where the engine does not call
+        `next_requests`.  With fixed state that sequence takes one step
+        and then keeps a constant stride: a credit deficit fixes the
+        stride, and a frame boundary or probe arrival already reached is
+        polled every cycle."""
+        if poll >= cycle:
+            return poll
+        poll = self.next_poll_after(poll)
+        if poll >= cycle:
+            return poll
+        stride = self.next_poll_after(poll) - poll
+        return poll + -(-(cycle - poll) // stride) * stride
 
     def next_poll_after(self, now: int) -> int:
         """Cycle of the poll that follows a poll at `now`."""
@@ -240,23 +252,3 @@ class Generator:
         if deficit <= 0:
             return now
         return now + max(1, int(deficit / self.pace))
-
-
-def next_requests(spec: DmaSpec, state: GeneratorState, clock, rng=None,
-                  space: int = 1, priority: int = 0):
-    """Functional wrapper: one emission step at clock.cycle."""
-    import numpy as np
-
-    gen = Generator(spec, rng if rng is not None else np.random.default_rng(0),
-                    clock.controller_freq_hz)
-    gen.state = state
-    txns = gen.next_requests(clock.cycle, space, priority)
-    return txns, gen.state
-
-
-def make_dataflow_scenario(case: str):
-    """DmaSpec list for the shipped camcorder test cases ("A" or "B")."""
-    from .config import load_packaged_scenario
-
-    scenario = load_packaged_scenario(case)
-    return scenario.dma_specs()

@@ -5,6 +5,7 @@ import pytest
 
 from sarasim import engine
 from sarasim.config import load_packaged_scenario, parse_config, with_policy
+from sarasim.dram import NEVER
 
 MINI = """
 name = mini
@@ -197,3 +198,43 @@ class TestFastForward:
         assert end not in cycles
         assert (outcome(engine.run(cfg, duration_cycles=end))
                 == outcome(stepped(cfg, end)))
+
+
+class PollingWorld(engine.World):
+    """A World whose phase 1 polls every due DMA, full leaf or not, instead
+    of parking it until the NoC drains its leaf; phases 2-5 are
+    World.step's, which then finds no poll due."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.polls = dict(self._next_poll)
+        self._next_poll = dict.fromkeys(self.dma_order, NEVER)
+
+    def step(self):
+        now = self.clock.cycle
+        for dma in self.dma_order:
+            if now < self.polls[dma]:
+                continue
+            gen = self.generators[dma]
+            space = self.noc.leaf_space(dma)
+            if space > 0:
+                for txn in gen.next_requests(now, space, self.level[dma]):
+                    self.dram.decode_into(txn)
+                    self.noc.offer(dma, txn, now)
+                    self.generated += 1
+            self.polls[dma] = gen.next_poll_after(now)
+        super().step()
+
+
+class TestParkedGenerators:
+    """Parking a generator behind its full leaf and waking it at the
+    poll_from cycle must equal polling it every due cycle."""
+
+    @pytest.mark.parametrize("case", ["A", "sweep"])
+    def test_packaged_scenarios_equal_polling_every_due_dma(self, case):
+        cfg = load_packaged_scenario(case)
+        world = PollingWorld(cfg)
+        for _ in range(30_000):
+            world.step()
+        assert (outcome(engine.run(cfg, duration_cycles=30_000))
+                == outcome(world.report()))

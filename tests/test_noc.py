@@ -7,7 +7,8 @@ import pytest
 from sarasim.controller import ControllerState, QUEUE_NAMES
 from sarasim.core import READ, Transaction
 from sarasim.dram import DramModel, DramTimingConfig
-from sarasim.noc import FCFS, PRIORITY, ROUND_ROBIN, ArbiterNode, NocFabric
+from sarasim.noc import (FCFS, MODES, PRIORITY, ROUND_ROBIN, ArbiterNode,
+                         NocFabric, pick)
 
 
 def make_txn(id, priority=0, created=0, channel=0, aged=False, source="a"):
@@ -76,6 +77,53 @@ class TestArbiterNode:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ArbiterNode("n", 1, mode="lottery")
+
+
+def modular_loop_rule(ports, eligible, rr_pointer, mode):
+    """The arbitration rule pick replaced: (winner, new rr_pointer)."""
+    if mode == FCFS:
+        return min(eligible, key=lambda i: (ports[i][0].t_created, i)), \
+            rr_pointer
+
+    def rank(i):
+        head = ports[i][0]
+        return (1 if head.aged else 0, head.priority)
+    if mode == PRIORITY:
+        best = max(rank(i) for i in eligible)
+        eligible = [i for i in eligible if rank(i) == best]
+    n = len(ports)
+    for step in range(1, n + 1):
+        i = (rr_pointer + step) % n
+        if i in eligible:
+            return i, i
+    raise AssertionError("eligible cannot be empty")
+
+
+class TestPick:
+    """pick and ArbiterNode.arbitrate against the modular-loop rule."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_modular_loop_rule(self, mode):
+        rng = np.random.default_rng(MODES.index(mode))
+        for _ in range(5_000):
+            n = int(rng.integers(1, 9))
+            node = ArbiterNode("n", n, mode=mode)
+            node.rr_pointer = int(rng.integers(n))
+            for port in range(n):
+                if rng.random() < 0.7:
+                    node.offer(port, make_txn(
+                        port, priority=int(rng.integers(3)) * 3,
+                        created=int(rng.integers(4)),
+                        aged=rng.random() < 0.15), int(rng.integers(2)))
+            eligible = node.eligible_ports(2)
+            if not eligible:
+                assert node.arbitrate(2) is None
+                continue
+            expect = modular_loop_rule(node.ports, eligible, node.rr_pointer,
+                                       mode)
+            assert pick(node.ports, eligible, node.rr_pointer,
+                        mode) == expect[0]
+            assert (node.arbitrate(2), node.rr_pointer) == expect
 
 
 # -- fabric ------------------------------------------------------------------
@@ -168,6 +216,20 @@ class TestFabric:
             ctrl.queues = [type(q)() for q in ctrl.queues]  # drain
             ctrl.occupancy = 0
         assert granted["a"] > granted["b"]
+
+    def test_drained_names_each_leaf_that_lost_a_head(self):
+        fab, ctrl = make_fabric(), make_sink()
+        fab.offer("a", make_txn(1, source="a"), 0)
+        fab.offer("c", make_txn(2, source="c"), 0)
+        fab.step(1, ctrl)  # cluster grant of a, root grant of direct c
+        assert sorted(fab.drained) == ["a", "c"]
+        fab.drained.clear()
+        fab.step(2, ctrl)  # a's txn leaves the cluster output: no leaf
+        assert fab.drained == []
+        ctrl.capacity = 0
+        fab.offer("c", make_txn(3, source="c"), 2)
+        fab.step(3, ctrl)  # refused by the full controller
+        assert fab.drained == []
 
     def test_aging_marks_resident_transactions(self):
         fab = make_fabric()

@@ -1,16 +1,25 @@
 """Traffic generators: pacing oracles, burst shape, address streams, and
 the shipped camcorder dataflow composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from sarasim.config import load_packaged_scenario
 from sarasim.core import READ, WRITE
 from sarasim.meters import DRAIN, OccupancyMeter
 from sarasim.traffic import (BANDWIDTH_STREAM, BURSTY_FRAME, CONSTANT_RATE,
                              CREDIT_CAP_TXNS, LATENCY_PROBE, DmaSpec,
-                             Generator, make_dataflow_scenario)
+                             Generator)
 
 CLOCK = 1.0e9  # 1 GHz so cycles and nanoseconds coincide
+
+
+def make_dataflow_scenario(case: str):
+    """DmaSpec list for the shipped camcorder test cases ("A" or "B")."""
+    return load_packaged_scenario(case).dma_specs()
 
 
 def make_gen(kind=CONSTANT_RATE, rate=89.0e6, seed=0, **kw):
@@ -88,8 +97,8 @@ class TestSkippedPolls:
         ref, poll = self.blocked_drain_stream()
         fast, _ = self.blocked_drain_stream()
         until = poll + until_offset
-        assert fast.idle_poll(8)
-        next_poll = fast.skip_polls(poll, until, 8)
+        assert fast.idle_poll()
+        next_poll = fast.skip_polls(poll, until)
         while poll < until:
             assert ref.next_requests(poll, 8) == []
             poll = ref.next_poll_after(poll)
@@ -99,6 +108,66 @@ class TestSkippedPolls:
         assert fast.state.last_cycle == ref.state.last_cycle
         capped = ref.state.byte_credit == CREDIT_CAP_TXNS * 64
         assert capped == (until_offset == 5_000)
+
+
+def polled_from(gen, poll, cycle):
+    """Reference for Generator.poll_from: follow next_poll_after."""
+    while poll < cycle:
+        poll = gen.next_poll_after(poll)
+    return poll
+
+
+# (kind, rate, state) of a generator whose polls find its leaf full; the
+# hypothesis draws fill in the numbers
+BLOCKED_STATES = {
+    "rate_zero": (CONSTANT_RATE, 0.0, "deficit"),
+    "constant_deficit": (CONSTANT_RATE, 89.0e6, "deficit"),
+    "constant_earned": (CONSTANT_RATE, 89.0e6, "earned"),
+    "stream_deficit": (BANDWIDTH_STREAM, 1.1703e9, "deficit"),
+    "stream_earned": (BANDWIDTH_STREAM, 1.1703e9, "earned"),
+    "bursty_waiting": (BURSTY_FRAME, 93.3e6, "idle"),
+    "bursty_pending": (BURSTY_FRAME, 93.3e6, "pending"),
+    "probe_waiting": (LATENCY_PROBE, 64.0e6, "idle"),
+    "probe_pending": (LATENCY_PROBE, 64.0e6, "pending"),
+}
+
+
+class TestPollFrom:
+    """Generator.poll_from(p, c) must equal following next_poll_after from
+    p until the poll is at least c, for every state behind a full leaf."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCKED_STATES))
+    @given(gated=st.booleans(), credit=st.floats(0.0, 1.0),
+           wait=st.integers(0, 20_000), poll=st.integers(0, 20_000),
+           span=st.integers(-3, 4_000))
+    def test_matches_following_next_poll_after(self, case, gated, credit,
+                                               wait, poll, span):
+        kind, rate, state = BLOCKED_STATES[case]
+        spec = DmaSpec(dma_id="d", core="c", source_kind=kind,
+                       rate_bytes_per_s=rate, frame_period_cycles=10_000,
+                       frame_bytes=64 * 10)
+        meter = None
+        if gated and kind in (CONSTANT_RATE, BANDWIDTH_STREAM):
+            meter = OccupancyMeter("d", 256.0, max(rate, 1.0), CLOCK,
+                                   direction=DRAIN)
+        gen = Generator(spec, np.random.default_rng(0), CLOCK,
+                        occupancy_meter=meter)
+        size = spec.size_bytes
+        gs = gen.state
+        if state == "deficit":
+            gs.byte_credit = credit * size * 0.999
+        elif state == "earned":
+            gs.byte_credit = size * (1.0 + credit * CREDIT_CAP_TXNS)
+        elif state == "pending":
+            gs.bytes_left_in_frame = size * (1 + int(credit * 9))
+            gs.pending_probes = 1 + int(credit * 3)
+        else:
+            gs.next_boundary = poll + wait
+            gs.next_probe_cycle = poll + wait + credit
+        cycle = poll + span
+        before = replace(gs)
+        assert gen.poll_from(poll, cycle) == polled_from(gen, poll, cycle)
+        assert gen.state == before  # poll_from only reads the state
 
 
 class TestBurstyFrame:
