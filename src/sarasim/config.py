@@ -14,6 +14,7 @@ unchanged while making a 33 ms frame simulable on a desktop.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -127,12 +128,20 @@ class ScenarioConfig:
                 for e in self.dmas]
 
     def validate(self) -> None:
-        if self.io_freq_mhz <= 0:
-            raise ValidationError("io_freq_mhz must be positive")
-        if self.resolved_duration() <= 0:
-            raise ValidationError("duration must be positive")
+        # these feed frame_period_cycles, which resolved_duration() needs
         if self.desk_scale < 1:
             raise ValidationError("desk_scale must be >= 1")
+        for key in ("io_freq_mhz", "fps"):
+            value = getattr(self, key)
+            if not (0 < value < math.inf):
+                raise ValidationError(
+                    f"{key} must be positive and finite, not {value}")
+        if not math.isfinite(self.command_clock_hz / self.fps):
+            raise ValidationError(
+                f"fps {self.fps} at io_freq_mhz {self.io_freq_mhz} gives "
+                f"no finite frame period")
+        if self.resolved_duration() <= 0:
+            raise ValidationError("duration must be positive")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy}")
         if self.epoch_cycles <= 0:
@@ -308,9 +317,9 @@ def parse_config(text: str) -> ScenarioConfig:
         else:  # pragma: no cover
             raise AssertionError(section)
     finish_dma()
+    cfg.validate()
     # the DRAM clock is derived, not stored, but keep the field coherent
     cfg.dram.clock_freq_hz = cfg.command_clock_hz
-    cfg.validate()
     return cfg
 
 

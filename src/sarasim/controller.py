@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Transaction, next_in_turn
+from .core import Transaction, age_queues, next_in_turn
 from .dram import NEVER, ROW_HIT, DramModel
 
 QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
@@ -109,12 +109,8 @@ class ControllerState:
     # -- aging -------------------------------------------------------------
 
     def apply_aging(self, now: int) -> None:
-        if self.policy not in AGING_POLICIES:
-            return
-        for q in self.queues:
-            for txn in q:
-                if not txn.aged and now - txn.t_created >= self.aging_period:
-                    txn.aged = True
+        if self.policy in AGING_POLICIES:
+            age_queues(self.queues, now, self.aging_period)
 
     # -- scheduling --------------------------------------------------------
 

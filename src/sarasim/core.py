@@ -45,6 +45,15 @@ def next_in_turn(indices, pointer: int) -> int:
     return indices[0]
 
 
+def age_queues(queues, now: int, period: int) -> None:
+    """The one aging sweep: mark aged every queued transaction created at
+    least `period` cycles before `now`."""
+    for q in queues:
+        for txn in q:
+            if not txn.aged and now - txn.t_created >= period:
+                txn.aged = True
+
+
 @dataclass(slots=True, eq=False)
 class Transaction:
     id: int

@@ -298,10 +298,3 @@ class DramModel:
     def row_hit_rate(self) -> float:
         total = self.row_hits + self.row_misses + self.bank_opens
         return self.row_hits / total if total else 0.0
-
-
-def bandwidth(bytes_done: int, window_cycles: int, clock_freq_hz: float) -> float:
-    """Average bytes per second over a cycle window."""
-    if window_cycles <= 0:
-        raise InvalidWindow("window must be positive")
-    return bytes_done * clock_freq_hz / window_cycles

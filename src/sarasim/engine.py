@@ -18,14 +18,22 @@ meantime would find the leaf full, call no `next_requests` and leave its
 state unchanged, so on waking it resumes at `Generator.poll_from`, the
 cycle those polls would have reached.
 
+An occupancy-gated stream whose leaf has room but whose buffer has none
+(`Generator.idle_poll`) is gate-parked: its room depends only on its meter
+occupancy and its in-flight bytes, which change only with its own
+emissions, its own completions (phase 5) and an epoch's
+`OccupancyMeter.npi` (phase 2).  So it is woken by a completion of one of
+its transactions or by an epoch, never by a leaf drain, and
+`Generator.skip_polls` then replays the credit accrual of the polls it
+missed.
+
 `run` steps a cycle and then fast-forwards over the cycles in which no phase
 can act (`World.skip_idle`): no epoch, aging or frame boundary falls on
 them, no completion is due, no NoC head is eligible, every channel holding
-controller transactions waits for its `next_try`, and every generator poll
-due on them provably emits nothing.  Such polls are replayed one by one, so
-generator state evolves as it would under per-cycle polling.  The results
-equal those of calling `World.step` on every cycle, which stays the
-single-cycle reference.
+controller transactions waits for its `next_try`, and no generator poll is
+due on them; a due poll that would find no buffer room does not stop the
+skip, it gate-parks its stream.  The results equal those of calling
+`World.step` on every cycle, which stays the single-cycle reference.
 """
 
 from __future__ import annotations
@@ -193,6 +201,8 @@ class World:
         self._next_poll = {d: 0 for d in self.dma_order}
         # parked DMA -> its next poll, which would find the leaf full
         self._parked = {}
+        # gate-parked DMA -> its next poll, which would find no buffer room
+        self._gated = {}
         # periods of the phase-2 boundaries, and the next boundary cycle
         self._periods = [cfg.epoch_cycles] + [
             period for _, _, period in self.frame_meters if period > 0]
@@ -230,7 +240,8 @@ class World:
         cfg = self.cfg
 
         # phase 1: traffic generation; a DMA whose leaf is full is parked
-        # until the NoC drains the leaf
+        # until the NoC drains the leaf, and one whose buffer has no room is
+        # gate-parked until a completion or an epoch
         for dma in self.dma_order:
             if now < self._next_poll[dma]:
                 continue
@@ -242,11 +253,14 @@ class World:
                     self.noc.offer(dma, txn, now)
                     self.generated += 1
                     space -= 1
-            if space > 0:
-                self._next_poll[dma] = gen.next_poll_after(now)
-            else:
+            if space == 0:
                 self._parked[dma] = gen.next_poll_after(now)
                 self._next_poll[dma] = NEVER
+            elif gen.idle_poll():
+                self._gated[dma] = now + 1
+                self._next_poll[dma] = NEVER
+            else:
+                self._next_poll[dma] = gen.next_poll_after(now)
 
         # phase 2: meters, priorities, aging
         for dma, meter, period in self.frame_meters:
@@ -254,6 +268,8 @@ class World:
                 meter.start_frame(now)
         if now > 0 and now % cfg.epoch_cycles == 0:
             self._reevaluate(now)
+            for dma in list(self._gated):
+                self._wake(dma, now)
         if (now > 0 and cfg.policy in AGING_POLICIES
                 and now % cfg.aging_period == 0):
             self.controller.apply_aging(now)
@@ -286,6 +302,8 @@ class World:
             txn.t_completed = now
             self.meters[txn.source].on_completion(txn, now)
             self.generators[txn.source].on_completion(txn)
+            if txn.source in self._gated:
+                self._wake(txn.source, now)
             self._epoch_bytes[txn.source] += txn.size_bytes
             self.completed += 1
             wait = now - txn.t_created
@@ -294,10 +312,16 @@ class World:
 
         self.clock.advance()
 
+    def _wake(self, dma: str, now: int) -> None:
+        """Resume a gate-parked DMA at `now + 1`, replaying the polls it
+        missed: each found no room and only accrued credit."""
+        self._next_poll[dma] = self.generators[dma].skip_polls(
+            self._gated.pop(dma), now + 1)
+
     def skip_idle(self, end: int) -> None:
         """Advance the clock to the first cycle before `end` at which a
-        phase could change state (or to `end`), replaying the empty
-        generator polls due on the cycles passed over."""
+        phase could change state (or to `end`), gate-parking the streams
+        whose due polls would find no buffer room."""
         now = self.clock.cycle
         target = self.noc.next_activity(now)  # the commonest reason to stop
         if target <= now:
@@ -310,21 +334,17 @@ class World:
             target = min(target, self.inflight[0][0])
         if target <= now:
             return
-        idle = []
         for dma in self.dma_order:
-            if self._next_poll[dma] >= target:
+            poll = self._next_poll[dma]
+            if poll >= target:
                 continue
             if self.generators[dma].idle_poll():
-                idle.append(dma)
+                self._gated[dma] = poll
+                self._next_poll[dma] = NEVER
             else:
-                target = self._next_poll[dma]
+                target = poll
                 if target <= now:
                     return
-        for dma in idle:
-            poll = self._next_poll[dma]
-            if poll < target:
-                self._next_poll[dma] = self.generators[dma].skip_polls(
-                    poll, target)
         self.clock.cycle = target
 
     def _reevaluate(self, now: int) -> None:

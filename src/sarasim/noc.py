@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from .controller import ControllerState
-from .core import PRIORITY_LEVELS, Transaction, next_in_turn
+from .core import PRIORITY_LEVELS, Transaction, age_queues, next_in_turn
 from .dram import NEVER
 
 PRIORITY = "priority"
@@ -93,10 +93,6 @@ class ArbiterNode:
 
     def grant(self, port: int) -> Transaction:
         return self.ports[port].popleft()
-
-    def resident(self):
-        for q in self.ports:
-            yield from q
 
 
 class NocFabric:
@@ -217,10 +213,7 @@ class NocFabric:
     # -- aging / accounting ------------------------------------------------
 
     def age_resident(self, now: int, period: int) -> None:
-        for q in self.all_queues():
-            for txn in q:
-                if not txn.aged and now - txn.t_created >= period:
-                    txn.aged = True
+        age_queues(self.all_queues(), now, period)
 
     def all_queues(self):
         for dma in self.dma_order:

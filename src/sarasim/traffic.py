@@ -187,20 +187,20 @@ class Generator:
         st.last_cycle = now
 
     def idle_poll(self) -> bool:
-        """Whether polls emit nothing until a completion or a meter update
-        changes this generator's inputs: an occupancy-gated stream has
-        earned its credit but its buffer has no room for the transaction.
-        Polls behind a full leaf never reach the generator (see
-        `poll_from`)."""
+        """Whether polls emit nothing until this DMA's own completion or an
+        epoch's `OccupancyMeter.npi` changes the buffer room: an
+        occupancy-gated stream has earned its credit, which only grows,
+        but its buffer has no room for the transaction.  Polls behind a
+        full leaf never reach the generator (see `poll_from`)."""
         return (self.spec.source_kind in CREDIT_KINDS
                 and self.occupancy_meter is not None
                 and self.state.byte_credit >= self.spec.size_bytes
                 and not self._occupancy_space())
 
     def skip_polls(self, poll: int, until: int) -> int:
-        """Replay the polls due from cycle `poll` up to `until` while
-        `idle_poll()` holds, exactly as polling at each due cycle would;
-        returns the first poll cycle at or after `until`."""
+        """Replay the polls due from cycle `poll` up to `until` during
+        which `idle_poll()` held, exactly as polling at each due cycle
+        would; returns the first poll cycle at or after `until`."""
         st = self.state
         cap = CREDIT_CAP_TXNS * self.spec.size_bytes
         while poll < until:

@@ -135,3 +135,37 @@ def test_duration_within_one_epoch_is_config_error(tmp_path, capsys):
     assert "100" in err and "epoch_cycles" in err
     assert main(["run", "-c", CASE_B, "--duration", "101",
                  "-o", str(tmp_path / "long")]) == EXIT_OK
+
+
+CLOCKED = """name = clocked
+{global_line}
+
+[dram]
+{dram_line}
+
+[dma dsp]
+core = dsp
+queue = dsp
+cluster = direct
+kind = latency_probe
+meter = latency
+rate_mbps = 10.0
+latency_limit_cycles = 500
+"""
+
+
+@pytest.mark.parametrize("key,value", [
+    ("fps", "0"), ("fps", "nan"), ("fps", "inf"), ("io_freq_mhz", "nan"),
+    ("io_freq_mhz", "inf"), ("fps", "1e-310"), ("io_freq_mhz", "1e308"),
+    ("desk_scale", "0")])
+def test_bad_frame_period_input_is_config_error(tmp_path, capsys, key,
+                                                value):
+    # each feeds the frame period, from which the duration is resolved
+    line = f"{key} = {value}"
+    in_dram = key == "io_freq_mhz"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(CLOCKED.format(global_line="" if in_dram else line,
+                                  dram_line=line if in_dram else ""))
+    rc = main(["run", "-c", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sarasim.core import READ, WRITE, Transaction
 from sarasim.dram import (BANK_CLOSED, ROW_HIT, ROW_MISS, AddressMap,
                           DramModel, DramTimingConfig, IllegalIssue,
-                          InvalidWindow, bandwidth, service_latency)
+                          service_latency)
 
 
 def timing(**kw):
@@ -149,25 +149,6 @@ class TestIssue:
         at = m.earliest_issue(nxt, 0)
         done0 = 34 + 36 + 8
         assert m.issue(nxt, at) == done0 + 8  # burst windows abut
-
-
-# -- bandwidth oracle --------------------------------------------------------
-
-class TestBandwidth:
-    def test_zero_completions(self):
-        assert bandwidth(0, 100, 933e6) == 0.0
-
-    def test_channel_ceiling(self):
-        # one 64-byte completion per tBURST=8 cycles at 933 MHz
-        assert bandwidth(64, 8, 933e6) == pytest.approx(7.464e9)
-
-    def test_two_channels_additive(self):
-        one = bandwidth(64, 8, 933e6)
-        assert bandwidth(128, 8, 933e6) == pytest.approx(2 * one)
-
-    def test_zero_window_rejected(self):
-        with pytest.raises(InvalidWindow):
-            bandwidth(64, 0, 933e6)
 
 
 # -- address map -------------------------------------------------------------

@@ -127,9 +127,9 @@ class TestRun:
         assert report.max_wait >= 1 + 34 + 36 + 8
 
 
-def stepped(cfg, cycles):
+def stepped(cfg, cycles, world_class=engine.World):
     """Reference loop: one World.step() per cycle, no fast-forward."""
-    world = engine.World(cfg)
+    world = world_class(cfg)
     for _ in range(cycles):
         world.step()
     return world.report()
@@ -201,9 +201,10 @@ class TestFastForward:
 
 
 class PollingWorld(engine.World):
-    """A World whose phase 1 polls every due DMA, full leaf or not, instead
-    of parking it until the NoC drains its leaf; phases 2-5 are
-    World.step's, which then finds no poll due."""
+    """A World whose phase 1 polls every due DMA, full leaf or full buffer,
+    instead of parking it until the NoC drains its leaf or gate-parking it
+    until a completion or an epoch; phases 2-5 are World.step's, which then
+    finds no poll due."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -228,9 +229,10 @@ class PollingWorld(engine.World):
 
 class TestParkedGenerators:
     """Parking a generator behind its full leaf and waking it at the
-    poll_from cycle must equal polling it every due cycle."""
+    poll_from cycle, and gate-parking a stream behind its full buffer,
+    must equal polling it every due cycle."""
 
-    @pytest.mark.parametrize("case", ["A", "sweep"])
+    @pytest.mark.parametrize("case", ["A", "B", "sweep"])
     def test_packaged_scenarios_equal_polling_every_due_dma(self, case):
         cfg = load_packaged_scenario(case)
         world = PollingWorld(cfg)
@@ -238,3 +240,89 @@ class TestParkedGenerators:
             world.step()
         assert (outcome(engine.run(cfg, duration_cycles=30_000))
                 == outcome(world.report()))
+
+
+OCCUPANCY = """
+name = occupancy
+seed = 3
+desk_scale = 64
+warmup_cycles = 2000
+epoch_cycles = 100
+meter_window_cycles = 2000
+
+[dram]
+io_freq_mhz = 1866
+
+[controller]
+policy = QOS
+
+[dma display]
+core = display
+queue = media
+cluster = direct
+kind = constant_rate
+meter = occupancy
+direction = drain
+rate_mbps = 995.3
+buffer_kb = 16
+region_base_kb = 0
+region_len_kb = 1024
+
+[dma camera]
+core = camera
+queue = media
+cluster = media
+kind = constant_rate
+meter = occupancy
+direction = fill
+rate_mbps = 995.3
+buffer_kb = 16
+read_fraction = 0.0
+region_base_kb = 2048
+region_len_kb = 1024
+"""
+
+
+class UngatedWorld(engine.World):
+    """A World that never gate-parks: no poll counts as idle, so every due
+    poll of an occupancy-gated stream is made and stops the fast-forward."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        for gen in self.generators.values():
+            gen.idle_poll = lambda: False
+
+
+class TestGateParking:
+    """Gate-parking an occupancy-gated stream until one of its completions
+    or an epoch, then replaying its missed polls, must equal polling it."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_drain_and_fill_streams_equal_per_cycle_polling(self, policy):
+        cfg = with_policy(parse_config(OCCUPANCY), policy)
+        world, ref = engine.World(cfg), UngatedWorld(cfg)
+        parked = set()
+        while world.clock.cycle < 20_000:  # engine.run's loop
+            world.step()
+            world.skip_idle(20_000)
+            while ref.clock.cycle < world.clock.cycle:
+                ref.step()
+            parked |= set(world._gated)
+            # a gate-parked generator has polls still to replay; the others
+            # have made every poll (repr round-trips a float exactly)
+            for dma in world.dma_order:
+                if dma not in world._gated:
+                    assert (repr(world.generators[dma].state)
+                            == repr(ref.generators[dma].state)), dma
+        assert parked == {"display", "camera"}
+        assert outcome(world.report()) == outcome(ref.report())
+
+    def test_run_ending_while_gate_parked(self):
+        cfg = parse_config(OCCUPANCY)
+        world = engine.World(cfg)
+        while not (world.clock.cycle > 10_000 and world._gated):
+            world.step()
+            world.skip_idle(20_000)
+        end = world.clock.cycle
+        assert (outcome(engine.run(cfg, duration_cycles=end))
+                == outcome(stepped(cfg, end, UngatedWorld)))
