@@ -10,6 +10,7 @@ import argparse
 from importlib import resources
 
 from sarasim.cli import main as sarasim_main
+from sarasim.controller import POLICIES
 
 
 def scenario_path(case: str) -> str:
@@ -20,8 +21,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--case", default="A", choices=["A", "B", "sweep"])
     parser.add_argument("--out", default="out/compare")
-    parser.add_argument("--policies",
-                        default="FCFS,RR,FRAME_QOS,QOS,QOS_RB,FR_FCFS")
+    parser.add_argument("--policies", default=",".join(POLICIES))
     args = parser.parse_args()
     return sarasim_main(["compare", "-c", scenario_path(args.case),
                          "--policies", args.policies, "-o", args.out])

@@ -22,7 +22,7 @@ from . import engine, metrics
 from .config import (ParseError, ScenarioConfig, ValidationError, emit_config,
                      load_config, with_frequency, with_policy)
 from .controller import POLICIES
-from .core import ConfigInvalid, PRIORITY_LEVELS
+from .core import PRIORITY_LEVELS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ConfigInvalid, FileNotFoundError) as e:
+    except (ParseError, ValidationError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - CLI boundary

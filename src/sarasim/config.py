@@ -65,14 +65,13 @@ class DmaEntry:
         return mbps * MB
 
     def spec_for(self, clock_freq_hz: float, desk_scale: int,
-                 fps: float) -> DmaSpec:
-        period = int(round(clock_freq_hz / fps)) if fps > 0 else 0
+                 frame_period_cycles: int) -> DmaSpec:
         return DmaSpec(
             dma_id=self.dma_id,
             core=self.core,
             source_kind=self.kind,
             rate_bytes_per_s=self.rate_mbps * MB / desk_scale,
-            frame_period_cycles=period,
+            frame_period_cycles=frame_period_cycles,
             frame_bytes=int(self.frame_kb * KB / desk_scale),
             address_region=(self.region_base_kb * KB,
                             self.region_len_kb * KB),
@@ -99,7 +98,6 @@ class ScenarioConfig:
     capacity: int = 42
     aging_period: int = 10000
     delta: int = 6
-    boost_npi: float = 1.3  # FRAME_QOS: media below this NPI get boosted
     static_split: bool = False
     noc_depth: int = 8
     noc_cluster_depth: int | None = None  # None: same as noc_depth
@@ -122,11 +120,6 @@ class ScenarioConfig:
         return (self.name, self.seed, self.desk_scale, self.io_freq_mhz,
                 self.resolved_duration(), self.warmup_cycles)
 
-    def dma_specs(self) -> list:
-        clock = self.command_clock_hz
-        return [e.spec_for(clock, self.desk_scale, self.fps)
-                for e in self.dmas]
-
     def validate(self) -> None:
         # these feed frame_period_cycles, which resolved_duration() needs
         if self.desk_scale < 1:
@@ -136,10 +129,11 @@ class ScenarioConfig:
             if not (0 < value < math.inf):
                 raise ValidationError(
                     f"{key} must be positive and finite, not {value}")
-        if not math.isfinite(self.command_clock_hz / self.fps):
+        period = self.command_clock_hz / self.fps
+        if not (math.isfinite(period) and round(period) >= 1):
             raise ValidationError(
                 f"fps {self.fps} at io_freq_mhz {self.io_freq_mhz} gives "
-                f"no finite frame period")
+                f"no finite frame period of at least one cycle")
         if self.resolved_duration() <= 0:
             raise ValidationError("duration must be positive")
         if self.policy not in POLICIES:
@@ -169,6 +163,14 @@ class ScenarioConfig:
                 raise ValidationError(f"{e.dma_id}: locality out of range")
             if not 0.0 <= e.read_fraction <= 1.0:
                 raise ValidationError(f"{e.dma_id}: read_fraction out of range")
+            if e.rate_mbps < 0:
+                raise ValidationError(f"{e.dma_id}: rate_mbps is negative")
+            if e.meter == "latency" and e.latency_limit_cycles <= 0:
+                raise ValidationError(f"{e.dma_id}: latency meter needs "
+                                      f"latency_limit_cycles > 0")
+            if e.meter == "occupancy" and e.rate_mbps <= 0:
+                raise ValidationError(f"{e.dma_id}: occupancy meter needs "
+                                      f"rate_mbps > 0")
             if e.lut:
                 PriorityLut(entries=tuple(e.lut))  # validates itself
             regions.append((e.dma_id, e.region_base_kb,
@@ -196,7 +198,7 @@ _DRAM_KEYS = {
 }
 _CONTROLLER_KEYS = {
     "policy": str, "capacity": int, "aging_period": int, "delta": int,
-    "boost_npi": float, "static_split": bool,
+    "static_split": bool,
 }
 _NOC_KEYS = {"depth": int, "cluster_depth": int}
 _DMA_KEYS = {
@@ -218,7 +220,10 @@ def _convert(raw: str, typ, key: str, lineno: int):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
+        if typ is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError:
         raise ParseError(
             f"line {lineno}: bad value {raw!r} for key {key!r}") from None
@@ -318,8 +323,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise AssertionError(section)
     finish_dma()
     cfg.validate()
-    # the DRAM clock is derived, not stored, but keep the field coherent
-    cfg.dram.clock_freq_hz = cfg.command_clock_hz
     return cfg
 
 
@@ -381,5 +384,4 @@ def with_frequency(cfg: ScenarioConfig, io_freq_mhz: float) -> ScenarioConfig:
     clone = dataclasses.replace(cfg, dram=dataclasses.replace(cfg.dram),
                                 dmas=list(cfg.dmas))
     clone.io_freq_mhz = io_freq_mhz
-    clone.dram.clock_freq_hz = clone.command_clock_hz
     return clone

@@ -5,8 +5,8 @@ Policies:
 
   FCFS      globally oldest ready transaction
   RR        round-robin over the five queues, oldest ready within a queue
-  FRAME_QOS ready transactions from media DMAs currently behind their
-            real-time reference outrank everything, otherwise FCFS
+  FRAME_QOS ready transactions from media DMAs, from the first epoch on,
+            outrank everything, otherwise FCFS
   QOS       priority round-robin (highest priority wins, queue round-robin
             as tie-break) with periodic aging
   QOS_RB    QOS extended to prefer open-row transactions while nobody is
@@ -14,7 +14,8 @@ Policies:
   FR_FCFS   ready row-hits first, FCFS among them, FCFS otherwise
 
 Aged transactions outrank every priority level until completed; aging is
-active only under QOS and QOS_RB.
+active only under QOS and QOS_RB.  `POLICY` describes each policy once, as
+one `Policy` record that the engine, the NoC and this controller all read.
 
 Ready set.  Each held transaction caches its last `DramModel.earliest_issue`
 result (`issue_at`) and the end of the data burst behind it (`done_at`), and
@@ -40,32 +41,51 @@ issue resets `next_try`, so the next `select` on the channel scans again.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from typing import Callable
 
+from . import noc
 from .core import Transaction, age_queues, next_in_turn
 from .dram import NEVER, ROW_HIT, DramModel
 
 QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
 NUM_QUEUES = len(QUEUE_NAMES)
 
-FCFS = "FCFS"
-RR = "RR"
-FRAME_QOS = "FRAME_QOS"
-QOS = "QOS"
-QOS_RB = "QOS_RB"
-FR_FCFS = "FR_FCFS"
-POLICIES = (FCFS, RR, FRAME_QOS, QOS, QOS_RB, FR_FCFS)
 
-AGING_POLICIES = (QOS, QOS_RB)
+def _arrival_key(txn: Transaction):
+    return (txn.t_enqueued, txn.seq)
+
+
+def _oldest(txns) -> Transaction:
+    return min(txns, key=_arrival_key)
+
+
+def _row_hits(ready, dram: DramModel) -> list:
+    return [t for t in ready if dram.classify(t) == ROW_HIT]
+
+
+@dataclass(frozen=True)
+class Policy:
+    """What one scheduling policy sets in every layer."""
+
+    noc_mode: str  # arbitration mode of every NoC node, one of noc.MODES
+    aging: bool  # periodic aging of controller and NoC queues
+    # media DMAs ride at the top priority level and every other DMA at the
+    # base level, and from the first epoch on the media DMAs are boosted
+    media_first: bool
+    # ControllerState select rule, called on a non-empty ready set as
+    # select(controller, ready, dram, boosted DMAs)
+    select: Callable
 
 
 class ControllerState:
-    def __init__(self, policy: str = QOS, capacity: int = 42,
+    def __init__(self, policy: str = "QOS", capacity: int = 42,
                  aging_period: int = 10000, delta: int = 6,
                  queue_of_dma: dict | None = None,
                  static_split: bool = False):
-        if policy not in POLICIES:
+        if policy not in POLICY:
             raise ValueError(f"unknown policy {policy}")
-        self.policy = policy
+        self.policy = POLICY[policy]
         self.capacity = capacity
         self.aging_period = aging_period
         self.delta = delta
@@ -109,7 +129,7 @@ class ControllerState:
     # -- aging -------------------------------------------------------------
 
     def apply_aging(self, now: int) -> None:
-        if self.policy in AGING_POLICIES:
+        if self.policy.aging:
             age_queues(self.queues, now, self.aging_period)
 
     # -- scheduling --------------------------------------------------------
@@ -145,56 +165,54 @@ class ControllerState:
                 horizon = at
         return out, horizon
 
-    def _arrival_key(self, txn: Transaction):
-        return (txn.t_enqueued, txn.seq)
+    # select rules, one per policy: (ready set, dram, boosted DMAs) -> the
+    # transaction to issue
 
-    def _oldest(self, txns) -> Transaction:
-        return min(txns, key=self._arrival_key)
+    def _first_come(self, ready, dram, boosted) -> Transaction:
+        return _oldest(ready)
 
-    def _round_robin(self, candidates) -> Transaction:
-        """Oldest candidate of the first queue in turn after rr_pointer."""
+    def _round_robin(self, ready, dram, boosted) -> Transaction:
+        """Oldest ready transaction of the first queue in turn after
+        rr_pointer."""
         oldest = {}
-        for t in candidates:
+        for t in ready:
             prev = oldest.get(t.queue)
-            if prev is None or self._arrival_key(t) < self._arrival_key(prev):
+            if prev is None or _arrival_key(t) < _arrival_key(prev):
                 oldest[t.queue] = t
         self.rr_pointer = next_in_turn(sorted(oldest), self.rr_pointer)
         return oldest[self.rr_pointer]
 
-    def _priority_round_robin(self, ready) -> Transaction:
-        """Policy 1 over an arbitrary ready set."""
+    def _boosted_first(self, ready, dram, boosted) -> Transaction:
+        return _oldest([t for t in ready if t.source in boosted] or ready)
+
+    def _row_hits_first(self, ready, dram, boosted) -> Transaction:
+        return _oldest(_row_hits(ready, dram) or ready)
+
+    def _priority_round_robin(self, ready, dram, boosted) -> Transaction:
+        """Policy 1: aged first, then the highest priority, round-robin
+        over the queues among those."""
         aged = [t for t in ready if t.aged]
         if aged:
             candidates = aged
         else:
             maxp = max(t.priority for t in ready)
             candidates = [t for t in ready if t.priority == maxp]
-        return self._round_robin(candidates)
+        return self._round_robin(candidates, dram, boosted)
+
+    def _row_buffer_aware(self, ready, dram, boosted) -> Transaction:
+        """Policy 2: the oldest row hit while nothing is aged and nobody is
+        above delta (or everyone is at one level), else policy 1."""
+        if not any(t.aged for t in ready):
+            prios = {t.priority for t in ready}
+            if len(prios) == 1 or max(prios) < self.delta:
+                hits = _row_hits(ready, dram)
+                if hits:
+                    return _oldest(hits)
+        return self._priority_round_robin(ready, dram, boosted)
 
     def _select_from(self, ready, dram: DramModel, now: int,
                      unhealthy: set) -> Transaction:
-        policy = self.policy
-        if policy == FCFS:
-            return self._oldest(ready)
-        if policy == RR:
-            return self._round_robin(ready)
-        if policy == FRAME_QOS:
-            boosted = [t for t in ready if t.source in unhealthy]
-            return self._oldest(boosted) if boosted else self._oldest(ready)
-        if policy == FR_FCFS:
-            hits = [t for t in ready if dram.classify(t) == ROW_HIT]
-            return self._oldest(hits) if hits else self._oldest(ready)
-        if policy == QOS:
-            return self._priority_round_robin(ready)
-        if policy == QOS_RB:
-            if not any(t.aged for t in ready):
-                prios = {t.priority for t in ready}
-                if len(prios) == 1 or max(prios) < self.delta:
-                    hits = [t for t in ready if dram.classify(t) == ROW_HIT]
-                    if hits:
-                        return self._oldest(hits)
-            return self._priority_round_robin(ready)
-        raise AssertionError(f"unhandled policy {policy}")
+        return self.policy.select(self, ready, dram, unhealthy)
 
     def select(self, dram: DramModel, channel: int, now: int,
                unhealthy: set = frozenset()):
@@ -223,6 +241,14 @@ class ControllerState:
                     for ch, held in self._held.items() if held),
                    default=NEVER)
 
-    def resident(self):
-        for q in self.queues:
-            yield from q
+
+_C = ControllerState  # the select rules are its methods
+POLICY = {
+    "FCFS": Policy(noc.FCFS, False, False, _C._first_come),
+    "RR": Policy(noc.ROUND_ROBIN, False, False, _C._round_robin),
+    "FRAME_QOS": Policy(noc.PRIORITY, False, True, _C._boosted_first),
+    "QOS": Policy(noc.PRIORITY, True, False, _C._priority_round_robin),
+    "QOS_RB": Policy(noc.PRIORITY, True, False, _C._row_buffer_aware),
+    "FR_FCFS": Policy(noc.ROUND_ROBIN, False, False, _C._row_hits_first),
+}
+POLICIES = tuple(POLICY)

@@ -17,23 +17,8 @@ READ = 0
 WRITE = 1
 
 
-class ConfigInvalid(Exception):
-    pass
-
-
 class ValidationError(Exception):
     """A scenario value that parses but is out of range or inconsistent."""
-
-
-@dataclass
-class SimClock:
-    """Cycle counter in the DRAM command-clock domain."""
-
-    cycle: int = 0
-    controller_freq_hz: float = 933.0e6
-
-    def advance(self) -> None:
-        self.cycle += 1
 
 
 def next_in_turn(indices, pointer: int) -> int:

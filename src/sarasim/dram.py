@@ -48,7 +48,6 @@ class DramTimingConfig:
     tRRD: int = 19
     tFAW: int = 75
     tBURST: int = 8
-    clock_freq_hz: float = 933.0e6  # command clock
     channels: int = 2
     ranks: int = 2
     banks: int = 8
@@ -99,11 +98,6 @@ class AddressMap:
         self._bank_mask = (1 << self.bank_bits) - 1
         self._rank_mask = (1 << self.rank_bits) - 1
 
-    @property
-    def row_stride(self) -> int:
-        """Address distance between consecutive rows of the same bank."""
-        return 1 << self._row_shift
-
     def decode(self, addr: int):
         """addr -> (channel, rank, bank, row, column)."""
         return (
@@ -152,15 +146,6 @@ class _ChannelBus:
             drop += 1
         if drop:
             del windows[:drop]
-
-    def fits(self, completion: int) -> bool:
-        start = completion - self.burst
-        for w0, w1 in self.windows:
-            if w0 >= completion:
-                break
-            if w1 > start:
-                return False
-        return True
 
     def earliest(self, completion: int) -> int:
         """Smallest legal completion cycle >= `completion`."""
@@ -293,8 +278,3 @@ class DramModel:
             cls != ROW_HIT, completion - t.tBURST, completion)
         self.bytes_done += txn.size_bytes
         return completion
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses + self.bank_opens
-        return self.row_hits / total if total else 0.0

@@ -39,32 +39,19 @@ skip, it gate-parks its stream.  The results equal those of calling
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import metrics
 from .config import ScenarioConfig
-from .controller import AGING_POLICIES, ControllerState, QUEUE_NAMES
-from .core import ConfigInvalid, SimClock, Transaction
+from .controller import ControllerState, QUEUE_NAMES
+from .core import PRIORITY_LEVELS
 from .dram import NEVER, DramModel
 from .meters import (DRAIN, FILL, FRAME_PROGRESS_LUT, BandwidthMeter,
                      FrameProgressMeter, LatencyMeter, OccupancyMeter,
                      PriorityLut, translate)
-from .noc import FCFS as NOC_FCFS
-from .noc import PRIORITY as NOC_PRIORITY
-from .noc import ROUND_ROBIN as NOC_RR
 from .noc import NocFabric
 from .rng import dma_stream
 from .traffic import Generator
-
-# which NoC arbitration flavor each controller policy implies
-NOC_MODE_OF_POLICY = {
-    "FCFS": NOC_FCFS,
-    "RR": NOC_RR,
-    "FRAME_QOS": NOC_PRIORITY,
-    "QOS": NOC_PRIORITY,
-    "QOS_RB": NOC_PRIORITY,
-    "FR_FCFS": NOC_RR,
-}
 
 ID_STRIDE = 1 << 32  # per-DMA transaction id spacing
 
@@ -132,9 +119,8 @@ class World:
         cfg.validate()
         self.cfg = cfg
         clock_hz = cfg.command_clock_hz
-        self.clock = SimClock(0, clock_hz)
-        timing = replace(cfg.dram, clock_freq_hz=clock_hz)
-        self.dram = DramModel(timing)
+        self.cycle = 0  # the next cycle to step, in command-clock cycles
+        self.dram = DramModel(cfg.dram)
 
         entries = sorted(cfg.dmas, key=lambda e: e.dma_id)
         self.dma_order = [e.dma_id for e in entries]
@@ -143,6 +129,7 @@ class World:
             policy=cfg.policy, capacity=cfg.capacity,
             aging_period=cfg.aging_period, delta=cfg.delta,
             queue_of_dma=queue_of, static_split=cfg.static_split)
+        self.policy = self.controller.policy
 
         clusters = {}
         direct = []
@@ -152,9 +139,9 @@ class World:
             else:
                 clusters.setdefault(e.cluster, []).append(e.dma_id)
         self.noc = NocFabric(clusters, direct, self.dma_order,
-                             channels=timing.channels, depth=cfg.noc_depth,
+                             channels=cfg.dram.channels, depth=cfg.noc_depth,
                              cluster_depth=cfg.noc_cluster_depth,
-                             mode=NOC_MODE_OF_POLICY[cfg.policy],
+                             mode=self.policy.noc_mode,
                              leaf_depths={e.dma_id: e.queue_depth
                                           for e in entries})
 
@@ -166,7 +153,8 @@ class World:
         self.frame_meters = []
         epoch_window = cfg.meter_window_cycles
         for i, e in enumerate(entries):
-            spec = e.spec_for(clock_hz, cfg.desk_scale, cfg.fps)
+            spec = e.spec_for(clock_hz, cfg.desk_scale,
+                              cfg.frame_period_cycles)
             window = e.window_cycles or epoch_window
             meter = self._build_meter(e, spec, clock_hz, window,
                                       cfg.desk_scale)
@@ -190,7 +178,7 @@ class World:
                 self.frame_meters.append((e.dma_id, meter,
                                           spec.frame_period_cycles))
 
-        self.unhealthy = set()
+        self.boosted = frozenset()  # see Policy.media_first
         self.inflight = []  # heap of (completion, seq, txn)
         self._seq = 0
         self.sink = metrics.MetricsSink()
@@ -205,38 +193,33 @@ class World:
         self._gated = {}
         # periods of the phase-2 boundaries, and the next boundary cycle
         self._periods = [cfg.epoch_cycles] + [
-            period for _, _, period in self.frame_meters if period > 0]
-        if cfg.policy in AGING_POLICIES:
+            period for _, _, period in self.frame_meters]
+        if self.policy.aging:
             self._periods.append(cfg.aging_period)
         self._boundary = -1
 
     @staticmethod
     def _build_meter(e, spec, clock_hz, window, desk_scale):
+        # ScenarioConfig.validate() has checked the meter kind and its inputs
         if e.meter == "latency":
-            if e.latency_limit_cycles <= 0:
-                raise ConfigInvalid(f"{e.dma_id}: latency meter needs a limit")
             return LatencyMeter(e.dma_id, e.latency_limit_cycles)
         if e.meter == "frame_progress":
             return FrameProgressMeter(e.dma_id, max(spec.frame_bytes, 1),
-                                      max(spec.frame_period_cycles, 1),
+                                      spec.frame_period_cycles,
                                       e.reference_slope)
         if e.meter == "occupancy":
             buffer_bytes = e.buffer_kb * 1024 / desk_scale
             direction = DRAIN if e.direction == "drain" else FILL
-            rate = spec.rate_bytes_per_s
-            if rate <= 0:
-                raise ConfigInvalid(f"{e.dma_id}: occupancy meter needs a rate")
-            return OccupancyMeter(e.dma_id, buffer_bytes, rate, clock_hz,
+            return OccupancyMeter(e.dma_id, buffer_bytes,
+                                  spec.rate_bytes_per_s, clock_hz,
                                   direction=direction, window_cycles=window)
-        if e.meter == "bandwidth":
-            return BandwidthMeter(e.dma_id, e.target_bytes_per_s / desk_scale,
-                                  clock_hz, window_cycles=window)
-        raise ConfigInvalid(f"{e.dma_id}: unknown meter {e.meter}")
+        return BandwidthMeter(e.dma_id, e.target_bytes_per_s / desk_scale,
+                              clock_hz, window_cycles=window)
 
     # -- one cycle ---------------------------------------------------------
 
     def step(self) -> None:
-        now = self.clock.cycle
+        now = self.cycle
         cfg = self.cfg
 
         # phase 1: traffic generation; a DMA whose leaf is full is parked
@@ -264,13 +247,13 @@ class World:
 
         # phase 2: meters, priorities, aging
         for dma, meter, period in self.frame_meters:
-            if period > 0 and now % period == 0:
+            if now % period == 0:
                 meter.start_frame(now)
         if now > 0 and now % cfg.epoch_cycles == 0:
             self._reevaluate(now)
             for dma in list(self._gated):
                 self._wake(dma, now)
-        if (now > 0 and cfg.policy in AGING_POLICIES
+        if (now > 0 and self.policy.aging
                 and now % cfg.aging_period == 0):
             self.controller.apply_aging(now)
             self.noc.age_resident(now, cfg.aging_period)
@@ -289,7 +272,7 @@ class World:
 
         # phase 4: scheduling + DRAM issue
         for ch in range(self.dram.timing.channels):
-            txn = self.controller.select(self.dram, ch, now, self.unhealthy)
+            txn = self.controller.select(self.dram, ch, now, self.boosted)
             if txn is not None:
                 completion = self.dram.issue(txn, now)
                 heapq.heappush(self.inflight, (completion, self._seq, txn))
@@ -310,7 +293,7 @@ class World:
             if wait > self.max_wait:
                 self.max_wait = wait
 
-        self.clock.advance()
+        self.cycle = now + 1
 
     def _wake(self, dma: str, now: int) -> None:
         """Resume a gate-parked DMA at `now + 1`, replaying the polls it
@@ -319,10 +302,10 @@ class World:
             self._gated.pop(dma), now + 1)
 
     def skip_idle(self, end: int) -> None:
-        """Advance the clock to the first cycle before `end` at which a
+        """Advance `cycle` to the first cycle before `end` at which a
         phase could change state (or to `end`), gate-parking the streams
         whose due polls would find no buffer room."""
-        now = self.clock.cycle
+        now = self.cycle
         target = self.noc.next_activity(now)  # the commonest reason to stop
         if target <= now:
             return
@@ -345,18 +328,19 @@ class World:
                 target = poll
                 if target <= now:
                     return
-        self.clock.cycle = target
+        self.cycle = target
 
     def _reevaluate(self, now: int) -> None:
-        unhealthy = set()
+        if self.policy.media_first:
+            self.boosted = self.media_dmas
         for dma in self.dma_order:
             meter = self.meters[dma]
             npi = meter.npi(now)
             level = translate(self.luts[dma], npi)
-            if self.cfg.policy == "FRAME_QOS":
+            if self.policy.media_first:
                 # frame-level QoS: media cores ride at the top level for the
                 # whole frame, every other source stays at the base level
-                level = 7 if dma in self.media_dmas else 0
+                level = PRIORITY_LEVELS - 1 if dma in self.media_dmas else 0
             self.level[dma] = level
             # requests still waiting in the DMA's own leaf queue carry its
             # current level, so an escalation is not blocked by stale heads
@@ -367,10 +351,6 @@ class World:
             if nbytes:
                 self.sink.record_bytes(dma, now, nbytes)
                 self._epoch_bytes[dma] = 0
-            if dma in self.media_dmas and npi < self.cfg.boost_npi:
-                unhealthy.add(dma)
-        self.unhealthy = (set(self.media_dmas)
-                          if self.cfg.policy == "FRAME_QOS" else unhealthy)
 
     def resident_count(self) -> int:
         return (self.noc.resident_count() + self.controller.occupancy
@@ -378,7 +358,7 @@ class World:
 
     def report(self) -> SimulationReport:
         cfg = self.cfg
-        duration = self.clock.cycle
+        duration = self.cycle
         for dma in self.dma_order:  # flush trailing partial epoch
             if self._epoch_bytes[dma]:
                 self.sink.record_bytes(dma, duration, self._epoch_bytes[dma])
@@ -414,7 +394,7 @@ def run(scenario: ScenarioConfig, duration_cycles: int | None = None
     world = World(scenario)
     total = scenario.resolved_duration() if duration_cycles is None \
         else duration_cycles
-    while world.clock.cycle < total:
+    while world.cycle < total:
         world.step()
         world.skip_idle(total)
     return world.report()

@@ -168,7 +168,6 @@ class OccupancyMeter:
                  window_cycles: int = 100):
         self.dma_id = dma_id
         self.buffer_bytes = buffer_bytes
-        self.drain_rate_bytes_per_s = drain_rate_bytes_per_s
         self.rate_per_cycle = drain_rate_bytes_per_s / clock_freq_hz
         self.direction = direction
         self.initial_occupancy = initial_fraction * buffer_bytes

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from .controller import ControllerState
 from .core import PRIORITY_LEVELS, Transaction, age_queues, next_in_turn
 from .dram import NEVER
 
@@ -76,14 +75,13 @@ class ArbiterNode:
         q.append(txn)
         return True
 
-    def eligible_ports(self, now: int):
-        return [i for i, q in enumerate(self.ports)
-                if q and q[0].t_hop < now]
-
     def arbitrate(self, now: int, eligible=None):
-        """Pick the winning port index, or None.  Does not move the txn."""
+        """Pick the winning port index among `eligible`, by default the
+        ports whose head entered before `now`, or None.  Does not move the
+        txn."""
         if eligible is None:
-            eligible = self.eligible_ports(now)
+            eligible = [i for i, q in enumerate(self.ports)
+                        if q and q[0].t_hop < now]
         if not eligible:
             return None
         win = pick(self.ports, eligible, self.rr_pointer, self.mode)
@@ -101,26 +99,18 @@ class NocFabric:
     def __init__(self, clusters: dict, direct: list, dma_order: list,
                  channels: int, depth: int = 8, cluster_depth: int | None = None,
                  mode: str = PRIORITY, leaf_depths: dict | None = None):
-        self.mode = mode
-        self.depth = depth
         self.cluster_depth = depth if cluster_depth is None else cluster_depth
         self.leaf_depth = {d: (leaf_depths or {}).get(d) or depth
                            for d in dma_order}
-        self.channels = channels
         self.dma_order = list(dma_order)
         self.leaf = {}
-        self.leaf_node = {}
-        self.leaf_port = {}
-        self.cluster_names = sorted(clusters)
         self.cluster_nodes = []
         self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
-        for name in self.cluster_names:
+        for name in sorted(clusters):
             members = [d for d in dma_order if d in clusters[name]]
             node = ArbiterNode(name, len(members), depth, mode)
             for port, dma in enumerate(members):
-                self.leaf_node[dma] = node
-                self.leaf_port[dma] = port
                 self.leaf[dma] = node.ports[port]
             self.cluster_nodes.append(node)
             self.cluster_members.append(members)
@@ -157,7 +147,7 @@ class NocFabric:
 
     # -- one simulation cycle ---------------------------------------------
 
-    def step(self, now: int, controller: ControllerState) -> None:
+    def step(self, now: int, controller) -> None:
         # roots drain cluster outputs and direct leaves into the controller
         for ch, root in enumerate(self.roots):
             eligible = [i for i, q in enumerate(root.ports)
@@ -165,8 +155,6 @@ class NocFabric:
             if not eligible:
                 continue
             win = root.arbitrate(now, eligible)
-            if win is None:
-                continue
             q = root.ports[win]
             if controller.enqueue(q[0], now):
                 q.popleft()

@@ -63,7 +63,6 @@ class GeneratorState:
     byte_credit: float = 0.0
     bytes_left_in_frame: int = 0
     next_address: int = 0
-    emitted_bytes: int = 0
     inflight_bytes: int = 0
     next_probe_cycle: float = 0.0
     pending_probes: int = 0
@@ -121,7 +120,6 @@ class Generator:
                           t_created=now)
         self._next_id += 1
         self.state.inflight_bytes += txn.size_bytes
-        self.state.emitted_bytes += txn.size_bytes
         return txn
 
     def on_completion(self, txn: Transaction) -> None:

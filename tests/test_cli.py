@@ -1,5 +1,6 @@
 """Command-line interface: verbs, output files, and exit codes."""
 
+import re
 from importlib import resources
 
 import pytest
@@ -157,7 +158,7 @@ latency_limit_cycles = 500
 @pytest.mark.parametrize("key,value", [
     ("fps", "0"), ("fps", "nan"), ("fps", "inf"), ("io_freq_mhz", "nan"),
     ("io_freq_mhz", "inf"), ("fps", "1e-310"), ("io_freq_mhz", "1e308"),
-    ("desk_scale", "0")])
+    ("desk_scale", "0"), ("fps", "1e9")])
 def test_bad_frame_period_input_is_config_error(tmp_path, capsys, key,
                                                 value):
     # each feeds the frame period, from which the duration is resolved
@@ -169,3 +170,37 @@ def test_bad_frame_period_input_is_config_error(tmp_path, capsys, key,
     rc = main(["run", "-c", str(bad), "-o", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def case_b_with(tmp_path, dma, key, value):
+    """Case B with `key` of DMA `dma` set to `value`."""
+    text = open(CASE_B, encoding="utf-8").read()
+    text, n = re.subn(rf"(\[dma {dma}\][^[]*?^{key} = )[^\n]*",
+                      rf"\g<1>{value}", text, count=1, flags=re.M)
+    assert n == 1
+    path = tmp_path / "case_b.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("dma,key,value,named", [
+    ("display", "rate_mbps", "nan", "'rate_mbps'"),
+    ("display", "pace_boost", "nan", "'pace_boost'"),
+    ("improc", "frame_kb", "inf", "'frame_kb'"),
+    ("dsp", "rate_mbps", "inf", "'rate_mbps'"),  # a probe with mean 0
+    ("wifi", "rate_mbps", "-5", "wifi")])
+def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
+                                                          dma, key, value,
+                                                          named):
+    cfg = case_b_with(tmp_path, dma, key, value)
+    rc = main(["run", "-c", cfg, "--duration", "3000",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
+                                                            capsys):
+    cfg = case_b_with(tmp_path, "dsp", "latency_limit_cycles", "0")
+    assert main(["echo-config", "-c", cfg]) == EXIT_CONFIG
+    assert "dsp" in capsys.readouterr().err

@@ -9,8 +9,8 @@ import zlib
 import numpy as np
 import pytest
 
-from sarasim.controller import (AGING_POLICIES, NUM_QUEUES, POLICIES,
-                                QUEUE_NAMES, ControllerState)
+from sarasim.controller import (NUM_QUEUES, POLICIES, QUEUE_NAMES,
+                                ControllerState)
 from sarasim.core import READ, WRITE, Transaction
 from sarasim.dram import NEVER, ROW_HIT, DramModel, DramTimingConfig
 
@@ -100,8 +100,13 @@ class TestAging:
 
 # -- brute-force policy references -------------------------------------------
 
-def arrival_order(ctrl, txns):
-    return sorted(txns, key=ctrl._arrival_key)
+def arrival_order(txns):
+    return sorted(txns, key=lambda t: (t.t_enqueued, t.seq))
+
+
+def resident(ctrl):
+    """Every transaction the controller holds, queue by queue."""
+    return [t for q in ctrl.queues for t in q]
 
 
 def reference_policy1(ctrl, ready):
@@ -117,7 +122,7 @@ def reference_policy1(ctrl, ready):
         qi = (ctrl.rr_pointer + step) % NUM_QUEUES
         in_queue = [t for t in pool if t.queue == qi]
         if in_queue:
-            return arrival_order(ctrl, in_queue)[0]
+            return arrival_order(in_queue)[0]
     raise AssertionError("pool cannot be empty")
 
 
@@ -130,7 +135,7 @@ def reference_policy2(ctrl, dram, ready):
         if len(prios) == 1 or max(prios) < ctrl.delta:
             hits = [t for t in ready if dram.classify(t) == ROW_HIT]
             if hits:
-                return arrival_order(ctrl, hits)[0]
+                return arrival_order(hits)[0]
     return reference_policy1(ctrl, ready)
 
 
@@ -341,7 +346,7 @@ class TestCachedReadySet:
             if rng.random() < 0.01:
                 ctrl.apply_aging(now + int(rng.integers(10_000)))
             for ch in range(dram.timing.channels):
-                held = [t for t in ctrl.resident() if t.channel == ch]
+                held = [t for t in resident(ctrl) if t.channel == ch]
                 at = {t.id: dram.earliest_issue(t, now) for t in held}
                 ready = [t for t in held if at[t.id] == now]
                 horizon = min(at.values(), default=NEVER)

@@ -169,7 +169,7 @@ class TestAddressMap:
     def test_row_stride(self):
         amap = AddressMap(timing())
         a = 0
-        b = amap.row_stride
+        b = 1 << amap._row_shift  # consecutive rows of the same bank
         ca, ra, ba, rowa, _ = amap.decode(a)
         cb, rb, bb, rowb, _ = amap.decode(b)
         assert (ca, ra, ba) == (cb, rb, bb)

@@ -1,9 +1,13 @@
 """End-to-end simulation loop: health under light load, determinism,
 transaction conservation, and degenerate worlds."""
 
+import copy
+import hashlib
+
 import pytest
 
-from sarasim import engine
+from sarasim import engine, metrics
+from sarasim.cli import write_npi_csv, write_summary_csv
 from sarasim.config import load_packaged_scenario, parse_config, with_policy
 from sarasim.dram import NEVER
 
@@ -116,15 +120,50 @@ class TestRun:
     def test_world_leaves_the_config_unchanged(self):
         cfg = load_packaged_scenario("A")
         cfg.desk_scale = 64
-        clock = cfg.dram.clock_freq_hz
+        before = copy.deepcopy(cfg)
         world = engine.World(cfg)
-        assert cfg.dram.clock_freq_hz == clock
-        assert world.dram.timing.clock_freq_hz == cfg.command_clock_hz
+        for _ in range(2_000):
+            world.step()
+        assert cfg == before
 
     def test_latency_meter_sees_noc_plus_dram_latency(self):
         report = engine.run(mini_cfg(), duration_cycles=20_000)
         # minimum possible wait: one NoC hop plus a closed-bank access
         assert report.max_wait >= 1 + 34 + 36 + 8
+
+
+# sha256 of the NPI and summary CSVs of case A run for 20,000 cycles, as
+# recorded before the policies became one table of records; every policy
+# takes its own path through the NoC, the aging check and the controller
+CASE_A_DIGESTS = {
+    "FCFS": ("1a18904d05f53d9e6dff333bdeccdc3985dbd0c34e6a21275242e2da6a004ca9",
+             "6d0e5d3ccd6d8f4e4fd0dfbd7e7168fbfe7109ba274f31ae2f20181b6d0d7e0f"),
+    "RR": ("4212b0dd80e2fd3e2e1b781820f2d06e70c83c8640976ae3f75a4446f57e0cd9",
+           "285343e4ed5bcabefb09bd6970c83f7dc16b84ec6c70be7763ed9dbbe40758bd"),
+    "FRAME_QOS": (
+        "db48b362b1165de12fec2343a6b4837b3a2af3d3b0ede3381fa823dae1fe82c5",
+        "3bc247ad5bf3c4522012afd3c633cc34dc492a8553f6e025e9581e0897c0772f"),
+    "QOS": ("c3daeedb385ef4baab2c6d762c72384ce6c2eaf97011f6755ad5e942c9d49a35",
+            "66d595e8109b1e019d62f81ac3e15fa398c59f0baac21584fca859afc6e80d69"),
+    "QOS_RB": (
+        "3415ef31610c21b6205e01ce5fa8f9c97896dc8b772b77297cd87fc677a8919b",
+        "5bf26cb2262f02dc496ddc2023c23bfc874f63c30295330ed004b9bd13615081"),
+    "FR_FCFS": (
+        "8f588a29941c4547744699ffa3190936e7484b31fe7589290cd231ca3f0a42a4",
+        "87954943ff2650a789af2f9ef020e8e004f9d195986e2225d54b46f6ac7b7e6d"),
+}
+
+
+@pytest.mark.parametrize("policy", list(CASE_A_DIGESTS))
+def test_case_a_outputs_match_recorded_digests(tmp_path, policy):
+    report = engine.run(with_policy(load_packaged_scenario("A"), policy),
+                        duration_cycles=20_000)
+    npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
+    write_npi_csv(npi, report)
+    write_summary_csv(summary, metrics.policy_comparison({policy: report}))
+    assert (hashlib.sha256(npi.read_bytes()).hexdigest(),
+            hashlib.sha256(summary.read_bytes()).hexdigest()
+            ) == CASE_A_DIGESTS[policy]
 
 
 def stepped(cfg, cycles, world_class=engine.World):
@@ -139,8 +178,8 @@ def executed_cycles(cfg, cycles):
     """Cycles that engine.run steps; the others are fast-forwarded."""
     world = engine.World(cfg)
     out = []
-    while world.clock.cycle < cycles:
-        out.append(world.clock.cycle)
+    while world.cycle < cycles:
+        out.append(world.cycle)
         world.step()
         world.skip_idle(cycles)
     return out
@@ -212,7 +251,7 @@ class PollingWorld(engine.World):
         self._next_poll = dict.fromkeys(self.dma_order, NEVER)
 
     def step(self):
-        now = self.clock.cycle
+        now = self.cycle
         for dma in self.dma_order:
             if now < self.polls[dma]:
                 continue
@@ -302,10 +341,10 @@ class TestGateParking:
         cfg = with_policy(parse_config(OCCUPANCY), policy)
         world, ref = engine.World(cfg), UngatedWorld(cfg)
         parked = set()
-        while world.clock.cycle < 20_000:  # engine.run's loop
+        while world.cycle < 20_000:  # engine.run's loop
             world.step()
             world.skip_idle(20_000)
-            while ref.clock.cycle < world.clock.cycle:
+            while ref.cycle < world.cycle:
                 ref.step()
             parked |= set(world._gated)
             # a gate-parked generator has polls still to replay; the others
@@ -320,9 +359,9 @@ class TestGateParking:
     def test_run_ending_while_gate_parked(self):
         cfg = parse_config(OCCUPANCY)
         world = engine.World(cfg)
-        while not (world.clock.cycle > 10_000 and world._gated):
+        while not (world.cycle > 10_000 and world._gated):
             world.step()
             world.skip_idle(20_000)
-        end = world.clock.cycle
+        end = world.cycle
         assert (outcome(engine.run(cfg, duration_cycles=end))
                 == outcome(stepped(cfg, end, UngatedWorld)))

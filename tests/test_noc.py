@@ -115,7 +115,8 @@ class TestPick:
                         port, priority=int(rng.integers(3)) * 3,
                         created=int(rng.integers(4)),
                         aged=rng.random() < 0.15), int(rng.integers(2)))
-            eligible = node.eligible_ports(2)
+            eligible = [i for i, q in enumerate(node.ports)
+                        if q and q[0].t_hop < 2]
             if not eligible:
                 assert node.arbitrate(2) is None
                 continue
@@ -132,6 +133,11 @@ def make_fabric(mode=PRIORITY, depth=8, cluster_depth=None):
     clusters = {"media": ["a", "b"]}
     return NocFabric(clusters, ["c"], ["a", "b", "c"], channels=1,
                      depth=depth, cluster_depth=cluster_depth, mode=mode)
+
+
+def resident(ctrl):
+    """Every transaction the controller holds, queue by queue."""
+    return [t for q in ctrl.queues for t in q]
 
 
 def make_sink():
@@ -192,7 +198,7 @@ class TestFabric:
         seen = set()
         for now in range(1, 40):
             fab.step(now, ctrl)
-            for txn in ctrl.resident():
+            for txn in resident(ctrl):
                 if txn.id not in seen:
                     seen.add(txn.id)
                     order.append(txn.id)
@@ -208,9 +214,9 @@ class TestFabric:
                     fab.offer(dma, make_txn(int(rng.integers(1 << 40)),
                                             priority=prio, created=now,
                                             source=dma), now)
-            before = {t.id: t.source for t in ctrl.resident()}
+            before = {t.id: t.source for t in resident(ctrl)}
             fab.step(now, ctrl)
-            for t in ctrl.resident():
+            for t in resident(ctrl):
                 if t.id not in before:
                     granted[t.source] += 1
             ctrl.queues = [type(q)() for q in ctrl.queues]  # drain

@@ -19,7 +19,9 @@ CLOCK = 1.0e9  # 1 GHz so cycles and nanoseconds coincide
 
 def make_dataflow_scenario(case: str):
     """DmaSpec list for the shipped camcorder test cases ("A" or "B")."""
-    return load_packaged_scenario(case).dma_specs()
+    cfg = load_packaged_scenario(case)
+    return [e.spec_for(cfg.command_clock_hz, cfg.desk_scale,
+                       cfg.frame_period_cycles) for e in cfg.dmas]
 
 
 def make_gen(kind=CONSTANT_RATE, rate=89.0e6, seed=0, **kw):
