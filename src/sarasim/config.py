@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .controller import POLICIES, QUEUE_NAMES
-from .core import ValidationError
+from .core import TXN_SIZE_BYTES, ValidationError
 from .dram import DramTimingConfig
 from .meters import MalformedLut, PriorityLut
-from .traffic import DmaSpec, SOURCE_KINDS
+from .traffic import LATENCY_PROBE, SOURCE_KINDS, DmaSpec
 
 
 class ParseError(Exception):
@@ -138,8 +138,9 @@ class ScenarioConfig:
             raise ValidationError("duration must be positive")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy}")
-        if self.epoch_cycles <= 0:
-            raise ValidationError("epoch_cycles must be positive")
+        for key in ("epoch_cycles", "meter_window_cycles", "aging_period"):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"{key} must be positive")
         if self.resolved_duration() <= self.epoch_cycles:
             # the first NPI sample is taken at cycle epoch_cycles
             raise ValidationError(
@@ -165,6 +166,14 @@ class ScenarioConfig:
                 raise ValidationError(f"{e.dma_id}: read_fraction out of range")
             if e.rate_mbps < 0:
                 raise ValidationError(f"{e.dma_id}: rate_mbps is negative")
+            if e.window_cycles < 0:
+                raise ValidationError(f"{e.dma_id}: window_cycles is negative")
+            probe_limit = TXN_SIZE_BYTES / 2 * self.io_freq_mhz
+            if e.kind == LATENCY_PROBE and e.rate_mbps > probe_limit:
+                raise ValidationError(
+                    f"{e.dma_id}: latency_probe rate_mbps {e.rate_mbps:g} "
+                    f"exceeds one transaction per command cycle "
+                    f"({probe_limit:g})")
             if e.meter == "latency" and e.latency_limit_cycles <= 0:
                 raise ValidationError(f"{e.dma_id}: latency meter needs "
                                       f"latency_limit_cycles > 0")

@@ -17,30 +17,30 @@ Aged transactions outrank every priority level until completed; aging is
 active only under QOS and QOS_RB.  `POLICY` describes each policy once, as
 one `Policy` record that the engine, the NoC and this controller all read.
 
-Ready set.  Each held transaction caches its last `DramModel.earliest_issue`
-result (`issue_at`) and the end of the data burst behind it (`done_at`), and
-a scan of a channel recomputes a transaction only when
-
-  - it arrived since the last scan of the channel (`issue_at` is -1),
-  - its cached cycle is earlier than `now` (it was ready but lost),
-  - the sequence issued since the last scan used the same rank and bank,
-  - that sequence activated a row in the same rank while the transaction
-    needs an activate itself (tRRD/tFAW), or
-  - that sequence's data window overlaps the cached one,
-
-and recomputes every transaction of the channel when anything else may have
-happened: more than one sequence issued since the last scan, another
-DramModel, or a scan at an earlier cycle than the last.  Every other cached
-value is exact.  A new command only removes legal start cycles and never
-adds one, and `_ChannelBus.prune` drops only windows that end at or before
-`now`, so a cached start that is still legal is still the earliest.  In the
-engine at most one sequence is issued on a channel between two scans: an
-issue resets `next_try`, so the next `select` on the channel scans again.
+Ready set.  The transactions held for a channel sit in groups keyed by
+(rank, bank, row, kind), oldest first, as in the per-bank queues of FR-FCFS
+controllers (Rixner et al., ISCA 2000).  `DramModel.earliest_issue` and the
+end of the data burst behind it depend only on that key, the DRAM state and
+`now`, so each group caches one result (`issue_at`) and one burst end
+(`done_at`) for all its transactions.  A scan of a channel recomputes a
+group only when it is new (`issue_at` is -1), when its cached cycle is
+earlier than `now` (it was ready but lost), or when the sequence issued
+since the last scan used its rank and bank, activated a row in its rank
+while the group needs an activate too (tRRD/tFAW), or has a data window
+overlapping the cached one.  It recomputes every group of the channel when
+more than one sequence was issued since the last scan, on another
+DramModel, or when the scan is at an earlier cycle than the last.  Every
+other cached value is exact: a new command only removes legal start cycles,
+and `_ChannelBus.prune` drops only windows that end by `now`, so a cached
+start that is still legal is still the earliest, also for a transaction
+that joins the group later.  An emptied group is deleted.  In the engine at
+most one sequence is issued on a channel between two scans: an issue resets
+`next_try`, so the next `select` on the channel scans again.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +62,19 @@ def _oldest(txns) -> Transaction:
 
 def _row_hits(ready, dram: DramModel) -> list:
     return [t for t in ready if dram.classify(t) == ROW_HIT]
+
+
+class _Group:
+    """Held transactions of one `group_key`, oldest first, and their cache."""
+
+    __slots__ = ("txns", "issue_at", "done_at")
+
+    def __init__(self):
+        self.txns, self.issue_at, self.done_at = [], -1, -1
+
+
+def group_key(txn: Transaction) -> tuple:
+    return txn.rank, txn.bank, txn.row, txn.kind
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class ControllerState:
         # per-channel cycle before which select cannot possibly succeed;
         # refreshed on every enqueue/issue touching the channel
         self.next_try = {}
-        self._held = {}  # channel -> transactions held for it, oldest first
+        self._groups = defaultdict(lambda: defaultdict(_Group))  # by channel
         # channel -> (DramModel, its issue count, cycle) at the last scan
         self._scanned = {}
 
@@ -115,13 +128,9 @@ class ControllerState:
         txn.queue = qi
         txn.t_enqueued = now
         txn.seq = self._seq
-        txn.issue_at = -1
         self._seq += 1
         self.next_try[txn.channel] = 0
-        held = self._held.get(txn.channel)
-        if held is None:
-            held = self._held[txn.channel] = []
-        held.append(txn)
+        self._groups[txn.channel][group_key(txn)].txns.append(txn)
         self.queues[qi].append(txn)
         self.occupancy += 1
         return True
@@ -136,7 +145,7 @@ class ControllerState:
 
     def _ready(self, dram: DramModel, channel: int, now: int) -> tuple:
         """(issuable txns, earliest future cycle any txn could become ready),
-        recomputing only the cached values the module docstring names."""
+        recomputing only the groups the module docstring names."""
         issued, rank, bank, activated, w_start, w_end = dram.last_issue[channel]
         last = self._scanned.get(channel)
         self._scanned[channel] = (dram, issued, now)
@@ -150,17 +159,18 @@ class ControllerState:
         w_end += dram.timing.tBURST
         out = []
         horizon = NEVER
-        for txn in self._held.get(channel, ()):
-            at = txn.issue_at
+        for (g_rank, g_bank, _, _), group in self._groups[channel].items():
+            at = group.issue_at
             if (stale or at < now
-                    or txn.rank == rank and (
-                        txn.bank == bank
-                        or activated and txn.done_at - at > hit_latency)
-                    or w_start < txn.done_at < w_end):
-                at = txn.issue_at = dram.earliest_issue(txn, now)
-                txn.done_at = at + dram.latency[dram.classify(txn)]
+                    or g_rank == rank and (
+                        g_bank == bank
+                        or activated and group.done_at - at > hit_latency)
+                    or w_start < group.done_at < w_end):
+                txn = group.txns[0]
+                at = group.issue_at = dram.earliest_issue(txn, now)
+                group.done_at = at + dram.latency[dram.classify(txn)]
             if at == now:
-                out.append(txn)
+                out += group.txns
             elif at < horizon:
                 horizon = at
         return out, horizon
@@ -230,7 +240,10 @@ class ControllerState:
         self.next_try[channel] = 0  # an issue changes bank and bus state
         txn = self._select_from(ready, dram, now, unhealthy)
         self.queues[txn.queue].remove(txn)
-        self._held[channel].remove(txn)
+        groups, key = self._groups[channel], group_key(txn)
+        groups[key].txns.remove(txn)
+        if not groups[key].txns:
+            del groups[key]
         self.occupancy -= 1
         return txn
 
@@ -238,7 +251,7 @@ class ControllerState:
         """Earliest cycle at which `select` could issue, or NEVER: the
         `next_try` of every channel that holds a transaction."""
         return min((self.next_try.get(ch, 0)
-                    for ch, held in self._held.items() if held),
+                    for ch, groups in self._groups.items() if groups),
                    default=NEVER)
 
 

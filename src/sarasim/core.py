@@ -60,10 +60,6 @@ class Transaction:
     queue: int = 0  # controller queue index, assigned on arrival
     seq: int = -1  # controller arrival sequence, the FCFS tie-break
     t_hop: int = -1  # cycle the txn entered its current NoC queue
-    # the controller's cached DramModel.earliest_issue result and the end of
-    # the data burst behind it; -1 until the controller first computes them
-    issue_at: int = -1
-    done_at: int = -1
 
     def __post_init__(self):
         if self.size_bytes <= 0:

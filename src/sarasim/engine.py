@@ -342,10 +342,7 @@ class World:
                 # whole frame, every other source stays at the base level
                 level = PRIORITY_LEVELS - 1 if dma in self.media_dmas else 0
             self.level[dma] = level
-            # requests still waiting in the DMA's own leaf queue carry its
-            # current level, so an escalation is not blocked by stale heads
-            for txn in self.noc.leaf[dma]:
-                txn.priority = level
+            self.noc.relevel(dma, level, now)
             self.sink.record(metrics.NpiSample(dma, now, npi, level))
             nbytes = self._epoch_bytes[dma]
             if nbytes:

@@ -11,6 +11,16 @@ of its target channel.
 Arbitration modes: "priority" (aged flag first, then priority level,
 round-robin tie-break), "fcfs" (oldest head by creation time) and "rr"
 (priority-blind round-robin).
+
+Root memo.  Each root keeps the ports `keep` last kept for it (under FCFS
+its one winner) and the cycle it built them, and rebuilds them only once
+the fabric-wide `_stale_from` cycle has passed that build.  Given the
+one-cycle hop, a root's eligible heads change only when a root grant pops a
+head or a transaction enters an empty cluster-output FIFO or direct leaf
+(stale from the next cycle, and for the later roots of this cycle, whose
+memos are older), or when an epoch re-levels the leaves (`relevel`) or
+`age_resident` runs (stale from this cycle).  A refused grant then costs
+one `next_in_turn` step, which still moves `rr_pointer`.
 """
 
 from __future__ import annotations
@@ -26,32 +36,26 @@ ROUND_ROBIN = "rr"
 MODES = (PRIORITY, FCFS, ROUND_ROBIN)
 
 
-def pick(ports, eligible, rr_pointer: int, mode: str) -> int:
-    """The winning index among `eligible`, the ascending, non-empty indices
-    of the `ports` whose head may be granted.
+def keep(ports, eligible, mode: str) -> list:
+    """The ports that may win among `eligible`, the ascending indices of
+    the `ports` whose head may be granted.
 
-    FCFS takes the oldest head (lowest index on a tie).  PRIORITY keeps the
-    ports whose head ranks highest by (aged, priority) and RR keeps them
-    all; of those kept, the first in turn after `rr_pointer` wins.
+    FCFS keeps the oldest head (lowest index on a tie), PRIORITY the ports
+    whose head ranks highest by (aged, priority) and RR them all.
     """
+    if not eligible or mode == ROUND_ROBIN:
+        return eligible
     if mode == FCFS:
-        win, oldest = -1, None
-        for i in eligible:
-            created = ports[i][0].t_created
-            if oldest is None or created < oldest:
-                win, oldest = i, created
-        return win
-    if mode == PRIORITY:
-        kept, best = [], -1
-        for i in eligible:
-            head = ports[i][0]
-            rank = head.priority + PRIORITY_LEVELS * head.aged
-            if rank > best:
-                kept, best = [i], rank
-            elif rank == best:
-                kept.append(i)
-        eligible = kept
-    return next_in_turn(eligible, rr_pointer)
+        return [min(eligible, key=lambda i: ports[i][0].t_created)]
+    kept, best = [], -1
+    for i in eligible:
+        head = ports[i][0]
+        rank = head.priority + PRIORITY_LEVELS * head.aged
+        if rank > best:
+            kept, best = [i], rank
+        elif rank == best:
+            kept.append(i)
+    return kept
 
 
 class ArbiterNode:
@@ -75,16 +79,19 @@ class ArbiterNode:
         q.append(txn)
         return True
 
-    def arbitrate(self, now: int, eligible=None):
-        """Pick the winning port index among `eligible`, by default the
-        ports whose head entered before `now`, or None.  Does not move the
-        txn."""
-        if eligible is None:
-            eligible = [i for i, q in enumerate(self.ports)
-                        if q and q[0].t_hop < now]
+    def arbitrate(self, now: int):
+        """Pick the winning port index among the ports whose head entered
+        before `now`, or None.  Does not move the txn."""
+        eligible = [i for i, q in enumerate(self.ports)
+                    if q and q[0].t_hop < now]
         if not eligible:
             return None
-        win = pick(self.ports, eligible, self.rr_pointer, self.mode)
+        return self.take_turn(keep(self.ports, eligible, self.mode))
+
+    def take_turn(self, kept) -> int:
+        """The first of the non-empty `kept` in turn after `rr_pointer`,
+        which moves to it unless the mode is FCFS."""
+        win = next_in_turn(kept, self.rr_pointer)
         if self.mode != FCFS:
             self.rr_pointer = win
         return win
@@ -116,6 +123,7 @@ class NocFabric:
             self.cluster_members.append(members)
             self.cluster_out.append(deque())
         self.direct = [d for d in dma_order if d in direct]
+        self._direct = set(self.direct)
         for d in self.direct:
             self.leaf[d] = deque()
         # root ports: cluster output FIFOs first, then direct DMA leaves;
@@ -128,6 +136,10 @@ class NocFabric:
             self.roots.append(root)
         # DMA id behind each root port: None for a cluster output
         self._root_leaf = [None] * len(self.cluster_out) + self.direct
+        # root memo (module docstring): kept ports and build cycle per root
+        self._kept = [[] for _ in range(channels)]
+        self._built = [-1] * channels
+        self._stale_from = 0
         # DMAs whose leaf lost a head in `step`, in grant order; the caller
         # empties it
         self.drained = []
@@ -138,9 +150,18 @@ class NocFabric:
         q = self.leaf[dma_id]
         if len(q) >= self.leaf_depth[dma_id]:
             return False
+        if not q and dma_id in self._direct:
+            self._stale_from = now + 1
         txn.t_hop = now
         q.append(txn)
         return True
+
+    def relevel(self, dma_id: str, level: int, now: int) -> None:
+        """Give the requests still waiting in `dma_id`'s leaf the DMA's
+        current `level`, so an escalation is not blocked by stale heads."""
+        for txn in self.leaf[dma_id]:
+            txn.priority = level
+        self._stale_from = max(self._stale_from, now)
 
     def leaf_space(self, dma_id: str) -> int:
         return self.leaf_depth[dma_id] - len(self.leaf[dma_id])
@@ -150,14 +171,20 @@ class NocFabric:
     def step(self, now: int, controller) -> None:
         # roots drain cluster outputs and direct leaves into the controller
         for ch, root in enumerate(self.roots):
-            eligible = [i for i, q in enumerate(root.ports)
-                        if q and q[0].t_hop < now and q[0].channel == ch]
-            if not eligible:
+            if self._built[ch] < self._stale_from:
+                self._kept[ch] = keep(root.ports, [
+                    i for i, q in enumerate(root.ports)
+                    if q and q[0].t_hop < now and q[0].channel == ch
+                ], root.mode)
+                self._built[ch] = now
+            kept = self._kept[ch]
+            if not kept:
                 continue
-            win = root.arbitrate(now, eligible)
+            win = root.take_turn(kept)
             q = root.ports[win]
             if controller.enqueue(q[0], now):
                 q.popleft()
+                self._stale_from = now + 1
                 if self._root_leaf[win] is not None:
                     self.drained.append(self._root_leaf[win])
 
@@ -171,6 +198,8 @@ class NocFabric:
                 continue
             txn = node.grant(win)
             txn.t_hop = now
+            if not out:
+                self._stale_from = now + 1
             out.append(txn)
             self.drained.append(self.cluster_members[ci][win])
 
@@ -202,6 +231,7 @@ class NocFabric:
 
     def age_resident(self, now: int, period: int) -> None:
         age_queues(self.all_queues(), now, period)
+        self._stale_from = max(self._stale_from, now)
 
     def all_queues(self):
         for dma in self.dma_order:

@@ -199,6 +199,37 @@ def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("meter_window_cycles = 2000", "meter_window_cycles = 0",
+     "meter_window_cycles"),
+    ("aging_period = 50000", "aging_period = 0", "aging_period"),
+    ("aging_period = 50000", "aging_period = -1", "aging_period"),
+    ("[dma wifi]", "[dma wifi]\nwindow_cycles = -5", "wifi")])
+def test_nonpositive_window_or_aging_period_is_config_error(tmp_path, capsys,
+                                                            old, new, named):
+    # a DMA's window_cycles = 0 means the global meter_window_cycles
+    text = open(CASE_B, encoding="utf-8").read()
+    assert old in text
+    cfg = tmp_path / "case_b.cfg"
+    cfg.write_text(text.replace(old, new))
+    rc = main(["run", "-c", str(cfg), "--duration", "3000",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def test_probe_faster_than_one_transaction_a_cycle_is_config_error(
+        tmp_path, capsys):
+    # case B runs at io_freq_mhz 1700: at most 32 * 1700 MB/s of 64 B reads
+    rc = main(["run", "-c", case_b_with(tmp_path, "dsp", "rate_mbps", "1e300"),
+               "--duration", "3000", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "dsp" in capsys.readouterr().err
+    assert main(["run", "-c", case_b_with(tmp_path, "dsp", "rate_mbps",
+                                          "54400"),
+                 "--duration", "3000", "-o", str(tmp_path / "ok")]) == EXIT_OK
+
+
 def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
                                                             capsys):
     cfg = case_b_with(tmp_path, "dsp", "latency_limit_cycles", "0")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sarasim.controller import (NUM_QUEUES, POLICIES, QUEUE_NAMES,
-                                ControllerState)
+                                ControllerState, group_key)
 from sarasim.core import READ, WRITE, Transaction
 from sarasim.dram import NEVER, ROW_HIT, DramModel, DramTimingConfig
 
@@ -326,11 +326,17 @@ def random_txn(rng, dram, id, now):
     return txn
 
 
+def group_of(ctrl, txn):
+    """The group whose cached values hold for the held `txn`."""
+    return ctrl._groups[txn.channel][group_key(txn)]
+
+
 class TestCachedReadySet:
-    """select caches each held transaction's earliest_issue result; before
-    every select the ready set and horizon are recomputed from scratch by
-    calling earliest_issue on every held transaction of the channel, and
-    select's choice, its next_try and its cached values must match."""
+    """select caches one earliest_issue result per group of held
+    transactions; before every select the ready set and horizon are
+    recomputed from scratch by calling earliest_issue on every held
+    transaction of the channel, and select's choice, its next_try and the
+    cached values read through each transaction's group must match."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_select_matches_brute_force_scan(self, policy):
@@ -364,9 +370,9 @@ class TestCachedReadySet:
                 assert ctrl.next_try[ch] == (0 if ready else horizon)
                 for t in held:
                     if t is not got:
-                        assert t.issue_at == at[t.id]
-                        assert t.done_at == (at[t.id]
-                                             + dram.latency[dram.classify(t)])
+                        assert group_of(ctrl, t).issue_at == at[t.id]
+                        assert group_of(ctrl, t).done_at == (
+                            at[t.id] + dram.latency[dram.classify(t)])
                 if got is not None and rng.random() < 0.98:
                     dram.issue(got, now)
                     issued += 1
@@ -379,6 +385,25 @@ class TestCachedReadySet:
                         dram.issue(txn, now)
             now += 1 if rng.random() < 0.9 else int(rng.integers(2, 60))
         assert issued > 1000
+
+    def test_same_key_enqueued_later_reads_the_group_value(self):
+        dram, c = model(), make_controller(policy="FCFS")
+        dram.issue(make_txn(dram, 1, bank=0, row=0), 0)
+        a = make_txn(dram, 2, bank=0, row=1)
+        b = make_txn(dram, 3, bank=0, row=1)  # same rank, bank, row, kind
+        c.enqueue(a, 1)
+        assert c.select(dram, 0, 1) is None  # caches the row miss
+        c.enqueue(b, 5)  # joins a's group, whose cached miss holds for b
+        for now in (5, 47):
+            assert c.select(dram, 0, now) is None
+            for t in (a, b):
+                assert group_of(c, t).issue_at == dram.earliest_issue(t, now)
+                assert group_of(c, t).done_at == (
+                    dram.earliest_issue(t, now)
+                    + dram.latency[dram.classify(t)])
+        at = group_of(c, b).issue_at
+        assert c.select(dram, 0, at) is a
+        assert group_of(c, b).issue_at == dram.earliest_issue(b, at) == at
 
     def test_rescans_at_an_earlier_cycle_or_on_another_model(self):
         dram, c = model(), make_controller(policy="FCFS")

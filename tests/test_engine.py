@@ -10,6 +10,7 @@ from sarasim import engine, metrics
 from sarasim.cli import write_npi_csv, write_summary_csv
 from sarasim.config import load_packaged_scenario, parse_config, with_policy
 from sarasim.dram import NEVER
+from sarasim.noc import NocFabric, keep
 
 MINI = """
 name = mini
@@ -365,3 +366,73 @@ class TestGateParking:
         end = world.cycle
         assert (outcome(engine.run(cfg, duration_cycles=end))
                 == outcome(stepped(cfg, end, UngatedWorld)))
+
+
+class ScratchRootFabric(NocFabric):
+    """A fabric that, on every cycle, rebuilds from scratch the eligible and
+    kept ports of each root whose memo `step` is about to use, and checks
+    them against the memo.  The memo of the first root is used on the state
+    the check sees, and a later root sees that state too unless an earlier
+    root granted, which makes it rebuild."""
+
+    def step(self, now, controller):
+        for ch, root in enumerate(self.roots):
+            if self._built[ch] >= self._stale_from:  # a memo hit
+                eligible = [i for i, q in enumerate(root.ports)
+                            if q and q[0].t_hop < now and q[0].channel == ch]
+                assert self._kept[ch] == keep(root.ports, eligible,
+                                              root.mode), (now, ch)
+                self.hits += 1
+        super().step(now, controller)
+
+
+def memo_hits(monkeypatch, cfg, cycles):
+    hits = []
+
+    def fabric(*args, **kwargs):
+        fab = ScratchRootFabric(*args, **kwargs)
+        fab.hits = 0
+        hits.append(fab)
+        return fab
+    monkeypatch.setattr(engine, "NocFabric", fabric)
+    engine.run(cfg, duration_cycles=cycles)
+    return hits[0].hits
+
+
+# three DMAs, two of them direct, that a two-entry pool backs up: root heads
+# wait, their levels move at each epoch and they age every 250 cycles, also
+# between epochs
+CONTENDED = MINI.replace("policy = QOS", """policy = QOS
+capacity = 2
+aging_period = 250""").replace("rate_mbps = 100.0", "rate_mbps = 3000.0").replace(
+    "rate_mbps = 400.0\ntarget_mbps = 100.0", """rate_mbps = 8000.0
+target_mbps = 3000.0
+lut = 2.0,1.8,1.6,1.45,1.3,1.2,1.1,0""") + """
+[dma usb]
+core = usb
+queue = system
+cluster = direct
+kind = bandwidth_stream
+meter = bandwidth
+rate_mbps = 8000.0
+target_mbps = 2000.0
+read_fraction = 0.0
+region_base_kb = 4096
+region_len_kb = 64
+lut = 2.0,1.8,1.6,1.45,1.3,1.2,1.1,0
+"""
+
+
+class TestRootMemo:
+    """Each root's kept ports, cached until a grant, a head entering an
+    empty FIFO, an epoch or aging, must equal those rebuilt every cycle."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mini_with_epochs_and_aging(self, monkeypatch, policy):
+        cfg = with_policy(parse_config(CONTENDED), policy)
+        assert memo_hits(monkeypatch, cfg, 20_000) > 1000
+
+    @pytest.mark.parametrize("case", ["A", "sweep"])
+    def test_packaged_scenarios(self, monkeypatch, case):
+        assert memo_hits(monkeypatch, load_packaged_scenario(case),
+                         30_000) > 10_000

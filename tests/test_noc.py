@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sarasim.controller import ControllerState, QUEUE_NAMES
-from sarasim.core import READ, Transaction
+from sarasim.core import READ, Transaction, next_in_turn
 from sarasim.dram import DramModel, DramTimingConfig
 from sarasim.noc import (FCFS, MODES, PRIORITY, ROUND_ROBIN, ArbiterNode,
-                         NocFabric, pick)
+                         NocFabric, keep)
 
 
 def make_txn(id, priority=0, created=0, channel=0, aged=False, source="a"):
@@ -99,8 +99,15 @@ def modular_loop_rule(ports, eligible, rr_pointer, mode):
     raise AssertionError("eligible cannot be empty")
 
 
+def pick(ports, eligible, rr_pointer, mode):
+    """The winner that ArbiterNode.arbitrate and each root take: of the
+    ports keep keeps, the first in turn after rr_pointer."""
+    return next_in_turn(keep(ports, eligible, mode), rr_pointer)
+
+
 class TestPick:
-    """pick and ArbiterNode.arbitrate against the modular-loop rule."""
+    """keep then next_in_turn, and ArbiterNode.arbitrate, against the
+    modular-loop rule."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_modular_loop_rule(self, mode):
