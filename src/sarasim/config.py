@@ -121,6 +121,7 @@ class ScenarioConfig:
                 self.resolved_duration(), self.warmup_cycles)
 
     def validate(self) -> None:
+        _check_text("name", self.name)
         # these feed frame_period_cycles, which resolved_duration() needs
         if self.desk_scale < 1:
             raise ValidationError("desk_scale must be >= 1")
@@ -138,9 +139,19 @@ class ScenarioConfig:
             raise ValidationError("duration must be positive")
         if self.policy not in POLICIES:
             raise ValidationError(f"unknown policy {self.policy}")
-        for key in ("epoch_cycles", "meter_window_cycles", "aging_period"):
+        for key in ("epoch_cycles", "meter_window_cycles", "aging_period",
+                    "capacity"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        # a depth of 0 is legal: every offer into that queue is refused
+        if self.noc_depth < 0:
+            raise ValidationError("[noc] depth is negative")
+        if self.noc_cluster_depth is not None and self.noc_cluster_depth < 0:
+            raise ValidationError("[noc] cluster_depth is negative")
+        try:
+            self.dram.validate()
+        except ValueError as exc:
+            raise ValidationError(f"[dram] {exc}") from None
         if self.resolved_duration() <= self.epoch_cycles:
             # the first NPI sample is taken at cycle epoch_cycles
             raise ValidationError(
@@ -152,6 +163,11 @@ class ScenarioConfig:
             if e.dma_id in seen:
                 raise ValidationError(f"duplicate dma id {e.dma_id}")
             seen.add(e.dma_id)
+            _check_text("dma id", e.dma_id)
+            if not e.dma_id:
+                raise ValidationError("empty dma id")
+            for key in ("core", "direction"):
+                _check_text(f"{e.dma_id}: {key}", getattr(e, key))
             if e.kind not in SOURCE_KINDS:
                 raise ValidationError(f"{e.dma_id}: unknown kind {e.kind}")
             if e.meter not in METER_KINDS:
@@ -168,6 +184,11 @@ class ScenarioConfig:
                 raise ValidationError(f"{e.dma_id}: rate_mbps is negative")
             if e.window_cycles < 0:
                 raise ValidationError(f"{e.dma_id}: window_cycles is negative")
+            if e.queue_depth < 0:
+                raise ValidationError(f"{e.dma_id}: queue_depth is negative")
+            if e.region_len_kb <= 0:
+                raise ValidationError(
+                    f"{e.dma_id}: region_len_kb must be positive")
             probe_limit = TXN_SIZE_BYTES / 2 * self.io_freq_mhz
             if e.kind == LATENCY_PROBE and e.rate_mbps > probe_limit:
                 raise ValidationError(
@@ -189,7 +210,15 @@ class ScenarioConfig:
             if b0 < a1:
                 raise ValidationError(
                     f"address regions of {a} and {b} overlap")
-        self.dram.validate()
+
+
+def _check_text(label: str, value: str) -> None:
+    """Reject a text value that `emit_config` could not write back as one
+    `key = value` line: a line break, a `#` or surrounding whitespace."""
+    if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+        raise ValidationError(f"{label} {value!r} cannot be written back: "
+                              f"it has a '#', a line break or surrounding "
+                              f"whitespace")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,17 @@ start that is still legal is still the earliest, also for a transaction
 that joins the group later.  An emptied group is deleted.  In the engine at
 most one sequence is issued on a channel between two scans: an issue resets
 `next_try`, so the next `select` on the channel scans again.
+
+Row class.  A group is a row hit when its `done_at - issue_at` is the hit
+latency; the three classes have distinct latencies.  The cached class is
+exact under the rule above, because only an issue to the same bank changes
+its open row.  `_ready` returns the ready row hits with the ready set, and
+the select rules read them instead of classifying each transaction.
+
+`next_try`.  A scan that finds nothing ready sets `next_try` to the
+earliest cached issue cycle of the channel.  An enqueue resets it only when
+the transaction opens a new group: a transaction that joins a group shares
+the group's issue cycle, which `next_try` already counts.
 """
 
 from __future__ import annotations
@@ -58,10 +69,6 @@ def _arrival_key(txn: Transaction):
 
 def _oldest(txns) -> Transaction:
     return min(txns, key=_arrival_key)
-
-
-def _row_hits(ready, dram: DramModel) -> list:
-    return [t for t in ready if dram.classify(t) == ROW_HIT]
 
 
 class _Group:
@@ -87,7 +94,7 @@ class Policy:
     # base level, and from the first epoch on the media DMAs are boosted
     media_first: bool
     # ControllerState select rule, called on a non-empty ready set as
-    # select(controller, ready, dram, boosted DMAs)
+    # select(controller, ready, its row hits, boosted DMAs)
     select: Callable
 
 
@@ -109,28 +116,40 @@ class ControllerState:
         self.rr_pointer = 0
         self._seq = 0
         # per-channel cycle before which select cannot possibly succeed;
-        # refreshed on every enqueue/issue touching the channel
-        self.next_try = {}
-        self._groups = defaultdict(lambda: defaultdict(_Group))  # by channel
+        # reset by an issue and by an enqueue that opens a group
+        self.next_try = defaultdict(int)
+        self._groups = defaultdict(dict)  # channel -> group_key -> _Group
         # channel -> (DramModel, its issue count, cycle) at the last scan
         self._scanned = {}
 
     # -- queue admission ---------------------------------------------------
 
+    def full(self) -> bool:
+        """True when `enqueue` refuses every transaction: the pool is at
+        capacity.  Under a static split the per-queue shares add up to at
+        most the capacity, so a full pool has every queue at its share."""
+        return self.occupancy >= self.capacity
+
     def enqueue(self, txn: Transaction, now: int) -> bool:
-        """Append txn to its designated queue; False means backpressure."""
+        """Append txn to its designated queue; False means backpressure:
+        the pool is `full`, or under a static split the queue is at its
+        share."""
         qi = self.queue_of_dma[txn.source]
-        if self.static_split:
-            if len(self.queues[qi]) >= self.capacity // NUM_QUEUES:
-                return False
-        elif self.occupancy >= self.capacity:
+        if self.full() or (self.static_split and len(self.queues[qi])
+                           >= self.capacity // NUM_QUEUES):
             return False
         txn.queue = qi
         txn.t_enqueued = now
         txn.seq = self._seq
         self._seq += 1
-        self.next_try[txn.channel] = 0
-        self._groups[txn.channel][group_key(txn)].txns.append(txn)
+        groups, key = self._groups[txn.channel], group_key(txn)
+        group = groups.get(key)
+        if group is None:
+            # a joining transaction shares its group's issue cycle, which
+            # next_try already counts
+            group = groups[key] = _Group()
+            self.next_try[txn.channel] = 0
+        group.txns.append(txn)
         self.queues[qi].append(txn)
         self.occupancy += 1
         return True
@@ -144,8 +163,9 @@ class ControllerState:
     # -- scheduling --------------------------------------------------------
 
     def _ready(self, dram: DramModel, channel: int, now: int) -> tuple:
-        """(issuable txns, earliest future cycle any txn could become ready),
-        recomputing only the groups the module docstring names."""
+        """(issuable txns, the row hits among them, earliest future cycle
+        any txn could become ready), recomputing only the groups the module
+        docstring names."""
         issued, rank, bank, activated, w_start, w_end = dram.last_issue[channel]
         last = self._scanned.get(channel)
         self._scanned[channel] = (dram, issued, now)
@@ -157,7 +177,7 @@ class ControllerState:
         # a cached burst ending at done_at overlaps [w_start, w_end) iff
         # w_start < done_at < w_end + tBURST
         w_end += dram.timing.tBURST
-        out = []
+        out, hits = [], []
         horizon = NEVER
         for (g_rank, g_bank, _, _), group in self._groups[channel].items():
             at = group.issue_at
@@ -171,17 +191,19 @@ class ControllerState:
                 group.done_at = at + dram.latency[dram.classify(txn)]
             if at == now:
                 out += group.txns
+                if group.done_at - at == hit_latency:
+                    hits += group.txns
             elif at < horizon:
                 horizon = at
-        return out, horizon
+        return out, hits, horizon
 
-    # select rules, one per policy: (ready set, dram, boosted DMAs) -> the
-    # transaction to issue
+    # select rules, one per policy: (ready set, its row hits, boosted DMAs)
+    # -> the transaction to issue
 
-    def _first_come(self, ready, dram, boosted) -> Transaction:
+    def _first_come(self, ready, hits, boosted) -> Transaction:
         return _oldest(ready)
 
-    def _round_robin(self, ready, dram, boosted) -> Transaction:
+    def _round_robin(self, ready, hits, boosted) -> Transaction:
         """Oldest ready transaction of the first queue in turn after
         rr_pointer."""
         oldest = {}
@@ -192,13 +214,13 @@ class ControllerState:
         self.rr_pointer = next_in_turn(sorted(oldest), self.rr_pointer)
         return oldest[self.rr_pointer]
 
-    def _boosted_first(self, ready, dram, boosted) -> Transaction:
+    def _boosted_first(self, ready, hits, boosted) -> Transaction:
         return _oldest([t for t in ready if t.source in boosted] or ready)
 
-    def _row_hits_first(self, ready, dram, boosted) -> Transaction:
-        return _oldest(_row_hits(ready, dram) or ready)
+    def _row_hits_first(self, ready, hits, boosted) -> Transaction:
+        return _oldest(hits or ready)
 
-    def _priority_round_robin(self, ready, dram, boosted) -> Transaction:
+    def _priority_round_robin(self, ready, hits, boosted) -> Transaction:
         """Policy 1: aged first, then the highest priority, round-robin
         over the queues among those."""
         aged = [t for t in ready if t.aged]
@@ -207,38 +229,33 @@ class ControllerState:
         else:
             maxp = max(t.priority for t in ready)
             candidates = [t for t in ready if t.priority == maxp]
-        return self._round_robin(candidates, dram, boosted)
+        return self._round_robin(candidates, hits, boosted)
 
-    def _row_buffer_aware(self, ready, dram, boosted) -> Transaction:
+    def _row_buffer_aware(self, ready, hits, boosted) -> Transaction:
         """Policy 2: the oldest row hit while nothing is aged and nobody is
         above delta (or everyone is at one level), else policy 1."""
-        if not any(t.aged for t in ready):
+        if hits and not any(t.aged for t in ready):
             prios = {t.priority for t in ready}
             if len(prios) == 1 or max(prios) < self.delta:
-                hits = _row_hits(ready, dram)
-                if hits:
-                    return _oldest(hits)
-        return self._priority_round_robin(ready, dram, boosted)
-
-    def _select_from(self, ready, dram: DramModel, now: int,
-                     unhealthy: set) -> Transaction:
-        return self.policy.select(self, ready, dram, unhealthy)
+                return _oldest(hits)
+        return self._priority_round_robin(ready, hits, boosted)
 
     def select(self, dram: DramModel, channel: int, now: int,
                unhealthy: set = frozenset()):
         """Pick and remove one issuable transaction for `channel`, or None.
 
         When nothing is issuable, `next_try[channel]` is advanced so the
-        caller can skip select until a queue event or that cycle arrives.
+        caller can skip select until a new group or that cycle arrives;
+        the engine reads `next_try` before it calls.
         """
-        if now < self.next_try.get(channel, 0):
+        if now < self.next_try[channel]:
             return None
-        ready, horizon = self._ready(dram, channel, now)
+        ready, hits, horizon = self._ready(dram, channel, now)
         if not ready:
             self.next_try[channel] = horizon
             return None
         self.next_try[channel] = 0  # an issue changes bank and bus state
-        txn = self._select_from(ready, dram, now, unhealthy)
+        txn = self.policy.select(self, ready, hits, unhealthy)
         self.queues[txn.queue].remove(txn)
         groups, key = self._groups[channel], group_key(txn)
         groups[key].txns.remove(txn)
@@ -250,7 +267,7 @@ class ControllerState:
     def next_activity(self) -> int:
         """Earliest cycle at which `select` could issue, or NEVER: the
         `next_try` of every channel that holds a transaction."""
-        return min((self.next_try.get(ch, 0)
+        return min((self.next_try[ch]
                     for ch, groups in self._groups.items() if groups),
                    default=NEVER)
 

@@ -12,6 +12,14 @@ Fixed phase order inside one cycle:
 DMAs are always iterated in sorted id order so the result is independent of
 any incidental container ordering.
 
+A stepped cycle runs only the layers that can act on it.  Phase 2 runs only
+on an epoch, frame or aging boundary (`_boundary`, which `step` and
+`skip_idle` keep).  An epoch re-levels a DMA's leaf (`NocFabric.relevel`)
+only when the DMA's level changed, because every request in the leaf was
+made at, or re-levelled to, the old level.  Phase 4 calls
+`ControllerState.select` only for a channel whose `next_try` has come.  The
+NoC skips its own idle clusters and full-pool enqueues (see `noc`).
+
 A generator whose leaf queue is full is parked: it is not polled until the
 NoC takes a head from that leaf (`NocFabric.drained`).  Its polls in the
 meantime would find the leaf full, call no `next_requests` and leave its
@@ -197,6 +205,7 @@ class World:
         if self.policy.aging:
             self._periods.append(cfg.aging_period)
         self._boundary = -1
+        self._channels = range(cfg.dram.channels)
 
     @staticmethod
     def _build_meter(e, spec, clock_hz, window, desk_scale):
@@ -245,18 +254,22 @@ class World:
             else:
                 self._next_poll[dma] = gen.next_poll_after(now)
 
-        # phase 2: meters, priorities, aging
-        for dma, meter, period in self.frame_meters:
-            if now % period == 0:
-                meter.start_frame(now)
-        if now > 0 and now % cfg.epoch_cycles == 0:
-            self._reevaluate(now)
-            for dma in list(self._gated):
-                self._wake(dma, now)
-        if (now > 0 and self.policy.aging
-                and now % cfg.aging_period == 0):
-            self.controller.apply_aging(now)
-            self.noc.age_resident(now, cfg.aging_period)
+        # phase 2, on an epoch, frame or aging boundary: meters, priorities,
+        # aging
+        if now > self._boundary:
+            self._boundary = self._next_boundary(now)
+        if now == self._boundary:
+            for dma, meter, period in self.frame_meters:
+                if now % period == 0:
+                    meter.start_frame(now)
+            if now > 0 and now % cfg.epoch_cycles == 0:
+                self._reevaluate(now)
+                for dma in list(self._gated):
+                    self._wake(dma, now)
+            if (now > 0 and self.policy.aging
+                    and now % cfg.aging_period == 0):
+                self.controller.apply_aging(now)
+                self.noc.age_resident(now, cfg.aging_period)
 
         # phase 3: NoC arbitration, then wake the parked DMAs it drained:
         # their polls up to now found the leaf full and changed nothing
@@ -270,8 +283,12 @@ class World:
                         poll, now + 1)
             drained.clear()
 
-        # phase 4: scheduling + DRAM issue
-        for ch in range(self.dram.timing.channels):
+        # phase 4: scheduling + DRAM issue on each channel whose next_try
+        # has come (select would return None before it; this saves the call)
+        next_try = self.controller.next_try
+        for ch in self._channels:
+            if now < next_try[ch]:
+                continue
             txn = self.controller.select(self.dram, ch, now, self.boosted)
             if txn is not None:
                 completion = self.dram.issue(txn, now)
@@ -310,7 +327,7 @@ class World:
         if target <= now:
             return
         if now > self._boundary:
-            self._boundary = min(-(-now // p) * p for p in self._periods)
+            self._boundary = self._next_boundary(now)
         target = min(target, end, self._boundary,
                      self.controller.next_activity())
         if self.inflight:
@@ -330,6 +347,10 @@ class World:
                     return
         self.cycle = target
 
+    def _next_boundary(self, now: int) -> int:
+        """The first epoch, frame or aging boundary at or after `now`."""
+        return min(-(-now // p) * p for p in self._periods)
+
     def _reevaluate(self, now: int) -> None:
         if self.policy.media_first:
             self.boosted = self.media_dmas
@@ -341,8 +362,10 @@ class World:
                 # frame-level QoS: media cores ride at the top level for the
                 # whole frame, every other source stays at the base level
                 level = PRIORITY_LEVELS - 1 if dma in self.media_dmas else 0
-            self.level[dma] = level
-            self.noc.relevel(dma, level, now)
+            if level != self.level[dma]:
+                # the leaf holds only requests made at the old level
+                self.level[dma] = level
+                self.noc.relevel(dma, level, now)
             self.sink.record(metrics.NpiSample(dma, now, npi, level))
             nbytes = self._epoch_bytes[dma]
             if nbytes:

@@ -21,6 +21,18 @@ head or a transaction enters an empty cluster-output FIFO or direct leaf
 memos are older), or when an epoch re-levels the leaves (`relevel`) or
 `age_resident` runs (stale from this cycle).  A refused grant then costs
 one `next_in_turn` step, which still moves `rr_pointer`.
+
+Full pool.  A root with kept ports always takes its turn, so `rr_pointer`
+moves as if it offered its head, but it does not call
+`ControllerState.enqueue` while the pool is `full`: the pool would refuse
+any head.
+
+Cluster wake.  Each cluster keeps the earliest cycle at which one of its
+leaf heads can be eligible, and `step` skips the cluster before it.  An
+offer into an empty leaf lowers it to the next cycle.  An arbitration that
+finds no eligible head sets it to the next cycle if a leaf holds a head
+(which entered this cycle), else to NEVER.  A grant leaves it as it is: the
+new head of the granted leaf entered before this cycle.
 """
 
 from __future__ import annotations
@@ -111,6 +123,7 @@ class NocFabric:
                            for d in dma_order}
         self.dma_order = list(dma_order)
         self.leaf = {}
+        self._cluster_of = dict.fromkeys(dma_order)  # None: a direct DMA
         self.cluster_nodes = []
         self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
@@ -119,11 +132,14 @@ class NocFabric:
             node = ArbiterNode(name, len(members), depth, mode)
             for port, dma in enumerate(members):
                 self.leaf[dma] = node.ports[port]
+                self._cluster_of[dma] = len(self.cluster_nodes)
             self.cluster_nodes.append(node)
             self.cluster_members.append(members)
             self.cluster_out.append(deque())
+        # cluster wake (module docstring): per cluster, the earliest cycle
+        # at which one of its leaf heads can be eligible
+        self._wake = [NEVER] * len(self.cluster_nodes)
         self.direct = [d for d in dma_order if d in direct]
-        self._direct = set(self.direct)
         for d in self.direct:
             self.leaf[d] = deque()
         # root ports: cluster output FIFOs first, then direct DMA leaves;
@@ -150,8 +166,12 @@ class NocFabric:
         q = self.leaf[dma_id]
         if len(q) >= self.leaf_depth[dma_id]:
             return False
-        if not q and dma_id in self._direct:
-            self._stale_from = now + 1
+        if not q:
+            ci = self._cluster_of[dma_id]
+            if ci is None:
+                self._stale_from = now + 1
+            elif self._wake[ci] > now:
+                self._wake[ci] = now + 1
         txn.t_hop = now
         q.append(txn)
         return True
@@ -169,7 +189,8 @@ class NocFabric:
     # -- one simulation cycle ---------------------------------------------
 
     def step(self, now: int, controller) -> None:
-        # roots drain cluster outputs and direct leaves into the controller
+        # roots drain cluster outputs and direct leaves into the controller;
+        # a full pool would refuse any head, so it is not offered one
         for ch, root in enumerate(self.roots):
             if self._built[ch] < self._stale_from:
                 self._kept[ch] = keep(root.ports, [
@@ -181,6 +202,8 @@ class NocFabric:
             if not kept:
                 continue
             win = root.take_turn(kept)
+            if controller.full():
+                continue
             q = root.ports[win]
             if controller.enqueue(q[0], now):
                 q.popleft()
@@ -188,13 +211,19 @@ class NocFabric:
                 if self._root_leaf[win] is not None:
                     self.drained.append(self._root_leaf[win])
 
-        # clusters move leaf heads into their output FIFO
+        # clusters move leaf heads into their output FIFO, from their wake
+        # cycle on
+        wake = self._wake
         for ci, node in enumerate(self.cluster_nodes):
+            if now < wake[ci]:
+                continue
             out = self.cluster_out[ci]
             if len(out) >= self.cluster_depth:
                 continue
             win = node.arbitrate(now)
             if win is None:
+                # every leaf head entered this cycle, or no leaf holds one
+                wake[ci] = now + 1 if any(node.ports) else NEVER
                 continue
             txn = node.grant(win)
             txn.t_hop = now

@@ -22,7 +22,7 @@ from sarasim.meters import (NPI_MAX, BandwidthMeter, FrameProgressMeter,
 from sarasim.metrics import policy_comparison
 
 from test_controller import (random_state, reference_policy1,
-                             reference_policy2)
+                             reference_policy2, select_from)
 from test_fuzz import fuzz_policy
 from test_meters import occupancy_meter, read_txn
 from test_starvation import BOUND, run_flood
@@ -146,16 +146,14 @@ class TestPolicyOracles:
         for _ in range(10_000):
             dram, ctrl, ready = random_state(rng, "QOS")
             expect = reference_policy1(ctrl, ready)
-            assert ctrl._select_from(list(ready), dram, 0,
-                                     frozenset()) is expect
+            assert select_from(ctrl, ready, dram) is expect
 
     def test_row_buffer_aware_10k_states(self):
         rng = np.random.default_rng(20240818)
         for _ in range(10_000):
             dram, ctrl, ready = random_state(rng, "QOS_RB")
             expect = reference_policy2(ctrl, dram, ready)
-            assert ctrl._select_from(list(ready), dram, 0,
-                                     frozenset()) is expect
+            assert select_from(ctrl, ready, dram) is expect
 
 
 # -- criterion 7: a million fuzzed cycles, zero timing violations --------------

@@ -235,3 +235,34 @@ def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
     cfg = case_b_with(tmp_path, "dsp", "latency_limit_cycles", "0")
     assert main(["echo-config", "-c", cfg]) == EXIT_CONFIG
     assert "dsp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("io_freq_mhz = 1700", "io_freq_mhz = 1700\nchannels = 3", "channels"),
+    ("io_freq_mhz = 1700", "io_freq_mhz = 1700\nCL = 0", "CL"),
+    ("capacity = 42", "capacity = 0", "capacity"),
+    ("capacity = 42", "capacity = -3", "capacity"),
+    ("depth = 8", "depth = -1", "depth"),
+    ("cluster_depth = 2", "cluster_depth = -1", "cluster_depth"),
+    ("queue_depth = 64", "queue_depth = -1", "improc")])
+def test_bad_dram_controller_or_noc_value_is_config_error(tmp_path, capsys,
+                                                          old, new, named):
+    text = open(CASE_B, encoding="utf-8").read()
+    assert old in text
+    cfg = tmp_path / "case_b.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    rc = main(["run", "-c", str(cfg), "--duration", "3000",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_empty_region_is_config_error(tmp_path, capsys):
+    # dsp jumps to a random address of its region on 80% of its requests
+    cfg = case_b_with(tmp_path, "dsp", "region_len_kb", "0")
+    assert "locality = 0.2" in open(cfg, encoding="utf-8").read()
+    rc = main(["run", "-c", cfg, "--duration", "3000",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "dsp" in capsys.readouterr().err

@@ -2,12 +2,16 @@
 emit/parse round trip."""
 
 import dataclasses
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sarasim.config import (ParseError, ValidationError, emit_config,
                             load_packaged_scenario, parse_config, with_policy,
                             with_frequency)
+from sarasim.controller import POLICIES
 
 MINIMAL = """
 name = tiny
@@ -172,3 +176,62 @@ class TestScenarioDerivations:
         scaled_period_s = cfg.frame_period_cycles / cfg.command_clock_hz
         full_period_s = full.frame_period_cycles / full.command_clock_hz
         assert scaled_period_s == pytest.approx(full_period_s, rel=1e-5)
+
+
+# -- round-trip properties ---------------------------------------------------
+
+CASES = ("A", "B", "sweep")
+CASE_TEXT = {case: resources.files("sarasim.scenarios").joinpath(
+    f"case_{case.lower()}.cfg").read_text() for case in CASES}
+KEY_LINE = re.compile(r"^(\w+ = ).*$", re.M)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(CASES), data=st.data(), value=st.text())
+    def test_any_value_parses_or_is_a_config_error(self, case, data, value):
+        text = CASE_TEXT[case]
+        lines = list(KEY_LINE.finditer(text))
+        line = lines[data.draw(st.integers(0, len(lines) - 1))]
+        bad = text[:line.start()] + line.group(1) + value + text[line.end():]
+        try:
+            parse_config(bad)
+        except (ParseError, ValidationError):
+            pass
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.sampled_from(CASES), data=st.data())
+    def test_emit_then_parse_is_identity(self, case, data):
+        cfg = load_packaged_scenario(case)
+        draw = data.draw
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cfg.name = draw(st.text())
+        cfg.seed = draw(st.integers(0, 2 ** 64))
+        cfg.warmup_cycles = draw(st.integers(0, 10 ** 6))
+        cfg.fps = draw(st.floats(1.0, 240.0))
+        cfg.io_freq_mhz = draw(st.floats(100.0, 4000.0))
+        cfg.epoch_cycles = draw(st.integers(1, 1000))
+        cfg.policy = draw(st.sampled_from(POLICIES))
+        cfg.capacity = draw(st.integers(1, 100))
+        cfg.delta = draw(st.integers(-10, 10))
+        cfg.static_split = draw(st.booleans())
+        cfg.noc_depth = draw(st.integers(0, 64))
+        cfg.noc_cluster_depth = draw(st.none() | st.integers(0, 64))
+        cfg.dram.tRCD = draw(st.integers(1, 100))
+        cfg.dram.channels = draw(st.sampled_from((1, 2, 4)))
+        for e in cfg.dmas:
+            e.dma_id = draw(st.just(e.dma_id) | st.text())
+            e.core = draw(st.just(e.core) | st.text())
+            e.target_mbps = draw(finite)
+            e.pace_boost = draw(finite)
+            e.reference_slope = draw(finite)
+            e.locality = draw(st.floats(0.0, 1.0))
+            e.read_fraction = draw(st.floats(0.0, 1.0))
+            e.queue_depth = draw(st.integers(0, 128))
+        try:
+            cfg.validate()
+        except ValidationError:
+            return
+        assert parse_config(emit_config(cfg)) == cfg

@@ -33,6 +33,13 @@ def make_txn(m, id, queue=0, priority=0, bank=0, row=0, column=0,
     return t
 
 
+def select_from(ctrl, ready, dram, boosted=frozenset()):
+    """The oracle entry to ctrl's select rule: the rule's choice among
+    `ready`, with each row hit found by classifying it against `dram`."""
+    hits = [t for t in ready if dram.classify(t) == ROW_HIT]
+    return ctrl.policy.select(ctrl, list(ready), hits, boosted)
+
+
 # -- admission ---------------------------------------------------------------
 
 class TestEnqueue:
@@ -168,7 +175,7 @@ class TestOracleEquivalence:
         for _ in range(10_000):
             dram, ctrl, ready = random_state(rng, "QOS")
             expect = reference_policy1(ctrl, ready)
-            got = ctrl._select_from(list(ready), dram, 0, frozenset())
+            got = select_from(ctrl, ready, dram)
             assert got is expect
 
     def test_policy2_matches_reference_10k_states(self):
@@ -176,7 +183,7 @@ class TestOracleEquivalence:
         for _ in range(10_000):
             dram, ctrl, ready = random_state(rng, "QOS_RB")
             expect = reference_policy2(ctrl, dram, ready)
-            got = ctrl._select_from(list(ready), dram, 0, frozenset())
+            got = select_from(ctrl, ready, dram)
             assert got is expect
 
 
@@ -216,15 +223,15 @@ class TestPolicyExamples:
 
     def test_rb_prefers_hit_below_delta(self):
         dram, c, a, b = self._rb_state(pa=2, pb=5)
-        assert c._select_from([a, b], dram, 0, frozenset()) is a
+        assert select_from(c, [a, b], dram) is a
 
     def test_rb_urgent_miss_wins(self):
         dram, c, a, b = self._rb_state(pa=2, pb=7)
-        assert c._select_from([a, b], dram, 0, frozenset()) is b
+        assert select_from(c, [a, b], dram) is b
 
     def test_rb_equal_top_priorities_prefer_hit(self):
         dram, c, a, b = self._rb_state(pa=7, pb=7)
-        assert c._select_from([a, b], dram, 0, frozenset()) is a
+        assert select_from(c, [a, b], dram) is a
 
     def test_fr_fcfs_always_picks_a_ready_hit(self):
         dram, c = model(), make_controller(policy="FR_FCFS")
@@ -233,7 +240,7 @@ class TestPolicyExamples:
         dram.banks[0][0][0].open_row = 0
         c.enqueue(miss, 55)
         c.enqueue(hit, 60)
-        assert c._select_from([hit, miss], dram, 0, frozenset()) is hit
+        assert select_from(c, [hit, miss], dram) is hit
 
     def test_fcfs_is_globally_oldest(self):
         dram, c = model(), make_controller(policy="FCFS")
@@ -270,7 +277,7 @@ class TestPolicyProperties:
             hits = [t for t in ready if dram.classify(t) == ROW_HIT]
             if not hits:
                 continue
-            got = ctrl._select_from(list(ready), dram, 0, frozenset())
+            got = select_from(ctrl, ready, dram)
             assert dram.classify(got) == ROW_HIT
             checked += 1
         assert checked > 200
@@ -288,7 +295,7 @@ class TestPolicyProperties:
             twin = make_controller(policy="QOS")
             twin.rr_pointer = ctrl.rr_pointer  # before select advances it
             expect = reference_policy1(twin, ready)
-            got = ctrl._select_from(list(ready), dram, 0, frozenset())
+            got = select_from(ctrl, ready, dram)
             assert got is expect
             checked += 1
         assert checked > 200
@@ -301,7 +308,7 @@ class TestPolicyProperties:
             hits = [t for t in ready if dram.classify(t) == ROW_HIT]
             if not hits:
                 continue
-            got = ctrl._select_from(list(ready), dram, 0, frozenset())
+            got = select_from(ctrl, ready, dram)
             assert dram.classify(got) == ROW_HIT
             checked += 1
         assert checked > 200
@@ -358,7 +365,7 @@ class TestCachedReadySet:
                 horizon = min(at.values(), default=NEVER)
                 scans = now >= ctrl.next_try.get(ch, 0)
                 rr = ctrl.rr_pointer
-                expect = (ctrl._select_from(list(ready), dram, now, unhealthy)
+                expect = (select_from(ctrl, ready, dram, unhealthy)
                           if ready else None)
                 ctrl.rr_pointer = rr
                 got = ctrl.select(dram, ch, now, unhealthy)
@@ -404,6 +411,18 @@ class TestCachedReadySet:
         at = group_of(c, b).issue_at
         assert c.select(dram, 0, at) is a
         assert group_of(c, b).issue_at == dram.earliest_issue(b, at) == at
+
+    def test_only_a_new_group_resets_next_try(self):
+        dram, c = model(), make_controller(policy="FCFS")
+        dram.issue(make_txn(dram, 1, bank=0, row=0), 0)
+        c.enqueue(make_txn(dram, 2, bank=0, row=1), 1)
+        assert c.select(dram, 0, 1) is None
+        wait = c.next_try[0]
+        assert wait > 1
+        c.enqueue(make_txn(dram, 3, bank=0, row=1), 2)  # joins the group
+        assert c.next_try[0] == wait
+        c.enqueue(make_txn(dram, 4, bank=1), 3)  # opens a group
+        assert c.next_try[0] == 0
 
     def test_rescans_at_an_earlier_cycle_or_on_another_model(self):
         dram, c = model(), make_controller(policy="FCFS")

@@ -436,3 +436,101 @@ class TestRootMemo:
     def test_packaged_scenarios(self, monkeypatch, case):
         assert memo_hits(monkeypatch, load_packaged_scenario(case),
                          30_000) > 10_000
+
+
+class ScratchClusterFabric(NocFabric):
+    """A fabric that, on every cycle, checks that each cluster `step` is
+    about to skip before its wake cycle has no eligible leaf head, and
+    that a root offers a head to the controller only when the pool can
+    take it."""
+
+    def step(self, now, controller):
+        for ci, node in enumerate(self.cluster_nodes):
+            if now < self._wake[ci]:
+                assert not any(q and q[0].t_hop < now
+                               for q in node.ports), (now, ci)
+                self.skips += 1
+        enqueue = controller.enqueue
+
+        def checked(txn, at):
+            accepted = enqueue(txn, at)
+            assert accepted, (now, txn.id)
+            return accepted
+        controller.enqueue = checked
+        try:
+            super().step(now, controller)
+        finally:
+            del controller.enqueue
+
+
+def cluster_skips(monkeypatch, cfg, cycles):
+    fabrics = []
+
+    def fabric(*args, **kwargs):
+        fab = ScratchClusterFabric(*args, **kwargs)
+        fab.skips = 0
+        fabrics.append(fab)
+        return fab
+    monkeypatch.setattr(engine, "NocFabric", fabric)
+    engine.run(cfg, duration_cycles=cycles)
+    return fabrics[0].skips
+
+
+# CONTENDED plus a slow probe alone in the media cluster, whose leaf is
+# mostly empty
+CLUSTERED = CONTENDED + """
+[dma audio]
+core = audio
+queue = media
+cluster = media
+kind = latency_probe
+meter = latency
+rate_mbps = 200.0
+latency_limit_cycles = 300
+region_base_kb = 8192
+region_len_kb = 64
+"""
+
+
+class TestClusterWake:
+    """A cluster skipped before its wake cycle has no eligible leaf head,
+    and a root offers a head only to a pool with room."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mini_with_epochs_and_aging(self, monkeypatch, policy):
+        cfg = with_policy(parse_config(CLUSTERED), policy)
+        assert cluster_skips(monkeypatch, cfg, 20_000) > 1000
+
+    @pytest.mark.parametrize("case", ["A", "sweep"])
+    def test_packaged_scenarios(self, monkeypatch, case):
+        # their clusters are rarely idle in the first 30k cycles (44 skips
+        # on A, 33 on the sweep); over a full frame of A 177,907 of
+        # 509,938 cluster visits are skipped
+        assert cluster_skips(monkeypatch, load_packaged_scenario(case),
+                             30_000) > 20
+
+
+class TestRelevel:
+    """An epoch re-levels a leaf only when its DMA's level changed; every
+    request still waiting in a leaf must carry its DMA's current level."""
+
+    @pytest.mark.parametrize("cfg", [
+        *(with_policy(parse_config(CLUSTERED), p) for p in POLICIES),
+        load_packaged_scenario("A"), load_packaged_scenario("sweep")],
+        ids=[*POLICIES, "A", "sweep"])
+    def test_leaf_priorities_equal_the_dma_level(self, cfg):
+        world = engine.World(cfg)
+        epochs = changes = 0
+        levels = dict(world.level)
+        while world.cycle < 20_000:  # engine.run's loop
+            world.step()
+            if (world.cycle - 1) % cfg.epoch_cycles == 0:
+                epochs += 1
+                changes += world.level != levels
+                levels = dict(world.level)
+                for dma in world.dma_order:
+                    assert all(txn.priority == world.level[dma]
+                               for txn in world.noc.leaf[dma]), dma
+            world.skip_idle(20_000)
+        assert epochs >= 20_000 // cfg.epoch_cycles - 1
+        assert changes > 0

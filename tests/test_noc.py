@@ -190,6 +190,19 @@ class TestFabric:
         assert ctrl.occupancy == 0
         assert fab.resident_count() == 1  # still waiting at its head
 
+    def test_cluster_wakes_for_a_head_that_entered_at_a_failed_arbitration(
+            self):
+        fab, ctrl = make_fabric(), make_sink()
+        first, second = make_txn(1), make_txn(2)
+        fab.offer("a", first, 0)
+        fab.step(0, ctrl)  # before the cluster's wake cycle
+        fab.step(1, ctrl)  # grants `first`, which empties the leaf
+        fab.offer("a", second, 2)  # into the emptied leaf
+        fab.step(2, ctrl)  # `second` entered this cycle: nothing eligible
+        assert list(fab.leaf["a"]) == [second]
+        fab.step(3, ctrl)
+        assert list(fab.cluster_out[0]) == [second]
+
     def test_work_conservation(self):
         fab, ctrl = make_fabric(), make_sink()
         fab.offer("c", make_txn(1), 0)
