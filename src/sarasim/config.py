@@ -166,8 +166,7 @@ class ScenarioConfig:
             _check_text("dma id", e.dma_id)
             if not e.dma_id:
                 raise ValidationError("empty dma id")
-            for key in ("core", "direction"):
-                _check_text(f"{e.dma_id}: {key}", getattr(e, key))
+            _check_text(f"{e.dma_id}: core", e.core)
             if e.kind not in SOURCE_KINDS:
                 raise ValidationError(f"{e.dma_id}: unknown kind {e.kind}")
             if e.meter not in METER_KINDS:
@@ -186,6 +185,11 @@ class ScenarioConfig:
                 raise ValidationError(f"{e.dma_id}: window_cycles is negative")
             if e.queue_depth < 0:
                 raise ValidationError(f"{e.dma_id}: queue_depth is negative")
+            if e.direction not in ("drain", "fill"):
+                raise ValidationError(f"{e.dma_id}: unknown direction "
+                                      f"{e.direction}")
+            if e.region_base_kb < 0:
+                raise ValidationError(f"{e.dma_id}: region_base_kb is negative")
             if e.region_len_kb <= 0:
                 raise ValidationError(
                     f"{e.dma_id}: region_len_kb must be positive")

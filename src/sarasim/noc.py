@@ -12,27 +12,26 @@ Arbitration modes: "priority" (aged flag first, then priority level,
 round-robin tie-break), "fcfs" (oldest head by creation time) and "rr"
 (priority-blind round-robin).
 
-Root memo.  Each root keeps the ports `keep` last kept for it (under FCFS
-its one winner) and the cycle it built them, and rebuilds them only once
-the fabric-wide `_stale_from` cycle has passed that build.  Given the
-one-cycle hop, a root's eligible heads change only when a root grant pops a
-head or a transaction enters an empty cluster-output FIFO or direct leaf
-(stale from the next cycle, and for the later roots of this cycle, whose
-memos are older), or when an epoch re-levels the leaves (`relevel`) or
-`age_resident` runs (stale from this cycle).  A refused grant then costs
-one `next_in_turn` step, which still moves `rr_pointer`.
+Memo.  Each node keeps the ports `keep` last kept for it (under FCFS its
+one winner) and the cycle it built them, and rebuilds them only once its
+`stale_from` cycle has passed that build.  Given the one-cycle hop, the
+heads a node may grant change only when
+- a head enters an empty queue the node reads: a leaf (its cluster, or
+  every root for a direct DMA) or a cluster output (every root); stale
+  from the next cycle;
+- a grant pops a head: the granting node rebuilds at its next arbitration,
+  and a root grant makes every root stale from the next cycle, because the
+  roots share their queues (the later roots of this cycle have older
+  memos);
+- an epoch re-levels a leaf (`relevel`: the nodes it feeds) or
+  `age_resident` runs (every node); stale from this cycle.
+A memo hit still takes one `next_in_turn` step, which moves `rr_pointer`
+as a rebuild would; an idle node's empty memo costs no rescan.
 
 Full pool.  A root with kept ports always takes its turn, so `rr_pointer`
 moves as if it offered its head, but it does not call
 `ControllerState.enqueue` while the pool is `full`: the pool would refuse
 any head.
-
-Cluster wake.  Each cluster keeps the earliest cycle at which one of its
-leaf heads can be eligible, and `step` skips the cluster before it.  An
-offer into an empty leaf lowers it to the next cycle.  An arbitration that
-finds no eligible head sets it to the next cycle if a leaf holds a head
-(which entered this cycle), else to NEVER.  A grant leaves it as it is: the
-new head of the granted leaf entered before this cycle.
 """
 
 from __future__ import annotations
@@ -71,44 +70,57 @@ def keep(ports, eligible, mode: str) -> list:
 
 
 class ArbiterNode:
-    """One switch: bounded FIFO per input port, one grant per cycle."""
+    """One switch: bounded FIFO per input port, one grant per cycle.  A
+    root takes only the heads bound for its `channel`; a cluster (channel
+    None) takes any."""
 
     def __init__(self, name: str, num_ports: int, depth: int = 8,
-                 mode: str = PRIORITY):
+                 mode: str = PRIORITY, channel: int | None = None):
         if mode not in MODES:
             raise ValueError(f"unknown arbitration mode {mode}")
         self.name = name
         self.ports = [deque() for _ in range(num_ports)]
         self.depth = depth
         self.mode = mode
+        self.channel = channel
         self.rr_pointer = 0
+        # memo (module docstring): kept ports, their build cycle, and the
+        # first cycle at which they may differ
+        self.kept = []
+        self.built = -1
+        self.stale_from = 0
 
     def offer(self, port: int, txn: Transaction, now: int) -> bool:
         q = self.ports[port]
         if len(q) >= self.depth:
             return False
+        if not q:
+            self.stale_from = now + 1
         txn.t_hop = now
         q.append(txn)
         return True
 
     def arbitrate(self, now: int):
         """Pick the winning port index among the ports whose head entered
-        before `now`, or None.  Does not move the txn."""
-        eligible = [i for i, q in enumerate(self.ports)
-                    if q and q[0].t_hop < now]
-        if not eligible:
+        before `now`, or None, and move `rr_pointer` to it unless the mode
+        is FCFS.  Does not move the txn."""
+        if self.built < self.stale_from:
+            ch = self.channel
+            self.kept = keep(self.ports, [
+                i for i, q in enumerate(self.ports)
+                if q and q[0].t_hop < now and (ch is None or q[0].channel == ch)
+            ], self.mode)
+            self.built = now
+        kept = self.kept
+        if not kept:
             return None
-        return self.take_turn(keep(self.ports, eligible, self.mode))
-
-    def take_turn(self, kept) -> int:
-        """The first of the non-empty `kept` in turn after `rr_pointer`,
-        which moves to it unless the mode is FCFS."""
         win = next_in_turn(kept, self.rr_pointer)
         if self.mode != FCFS:
             self.rr_pointer = win
         return win
 
     def grant(self, port: int) -> Transaction:
+        self.built = -1
         return self.ports[port].popleft()
 
 
@@ -123,39 +135,34 @@ class NocFabric:
                            for d in dma_order}
         self.dma_order = list(dma_order)
         self.leaf = {}
-        self._cluster_of = dict.fromkeys(dma_order)  # None: a direct DMA
         self.cluster_nodes = []
         self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
+        self.roots = []
+        self._feeds = {}  # the nodes each DMA's leaf feeds
         for name in sorted(clusters):
             members = [d for d in dma_order if d in clusters[name]]
             node = ArbiterNode(name, len(members), depth, mode)
             for port, dma in enumerate(members):
                 self.leaf[dma] = node.ports[port]
-                self._cluster_of[dma] = len(self.cluster_nodes)
+                self._feeds[dma] = (node,)
             self.cluster_nodes.append(node)
             self.cluster_members.append(members)
             self.cluster_out.append(deque())
-        # cluster wake (module docstring): per cluster, the earliest cycle
-        # at which one of its leaf heads can be eligible
-        self._wake = [NEVER] * len(self.cluster_nodes)
         self.direct = [d for d in dma_order if d in direct]
         for d in self.direct:
             self.leaf[d] = deque()
+            self._feeds[d] = self.roots
         # root ports: cluster output FIFOs first, then direct DMA leaves;
         # each root's arbitration view shares these FIFOs
         self._root_queues = self.cluster_out + [self.leaf[d] for d in self.direct]
-        self.roots = []
         for ch in range(channels):
-            root = ArbiterNode(f"root{ch}", len(self._root_queues), depth, mode)
+            root = ArbiterNode(f"root{ch}", len(self._root_queues), depth, mode,
+                               channel=ch)
             root.ports = list(self._root_queues)
             self.roots.append(root)
         # DMA id behind each root port: None for a cluster output
         self._root_leaf = [None] * len(self.cluster_out) + self.direct
-        # root memo (module docstring): kept ports and build cycle per root
-        self._kept = [[] for _ in range(channels)]
-        self._built = [-1] * channels
-        self._stale_from = 0
         # DMAs whose leaf lost a head in `step`, in grant order; the caller
         # empties it
         self.drained = []
@@ -167,11 +174,8 @@ class NocFabric:
         if len(q) >= self.leaf_depth[dma_id]:
             return False
         if not q:
-            ci = self._cluster_of[dma_id]
-            if ci is None:
-                self._stale_from = now + 1
-            elif self._wake[ci] > now:
-                self._wake[ci] = now + 1
+            for node in self._feeds[dma_id]:
+                node.stale_from = now + 1
         txn.t_hop = now
         q.append(txn)
         return True
@@ -181,7 +185,8 @@ class NocFabric:
         current `level`, so an escalation is not blocked by stale heads."""
         for txn in self.leaf[dma_id]:
             txn.priority = level
-        self._stale_from = max(self._stale_from, now)
+        for node in self._feeds[dma_id]:
+            node.stale_from = max(node.stale_from, now)
 
     def leaf_space(self, dma_id: str) -> int:
         return self.leaf_depth[dma_id] - len(self.leaf[dma_id])
@@ -191,76 +196,56 @@ class NocFabric:
     def step(self, now: int, controller) -> None:
         # roots drain cluster outputs and direct leaves into the controller;
         # a full pool would refuse any head, so it is not offered one
-        for ch, root in enumerate(self.roots):
-            if self._built[ch] < self._stale_from:
-                self._kept[ch] = keep(root.ports, [
-                    i for i, q in enumerate(root.ports)
-                    if q and q[0].t_hop < now and q[0].channel == ch
-                ], root.mode)
-                self._built[ch] = now
-            kept = self._kept[ch]
-            if not kept:
-                continue
-            win = root.take_turn(kept)
-            if controller.full():
+        for root in self.roots:
+            win = root.arbitrate(now)
+            if win is None or controller.full():
                 continue
             q = root.ports[win]
             if controller.enqueue(q[0], now):
                 q.popleft()
-                self._stale_from = now + 1
+                for r in self.roots:
+                    r.stale_from = now + 1
                 if self._root_leaf[win] is not None:
                     self.drained.append(self._root_leaf[win])
 
-        # clusters move leaf heads into their output FIFO, from their wake
-        # cycle on
-        wake = self._wake
+        # clusters move leaf heads into their output FIFO
         for ci, node in enumerate(self.cluster_nodes):
-            if now < wake[ci]:
-                continue
             out = self.cluster_out[ci]
             if len(out) >= self.cluster_depth:
                 continue
             win = node.arbitrate(now)
             if win is None:
-                # every leaf head entered this cycle, or no leaf holds one
-                wake[ci] = now + 1 if any(node.ports) else NEVER
                 continue
             txn = node.grant(win)
             txn.t_hop = now
             if not out:
-                self._stale_from = now + 1
+                for root in self.roots:
+                    root.stale_from = now + 1
             out.append(txn)
             self.drained.append(self.cluster_members[ci][win])
 
     def next_activity(self, now: int) -> int:
-        """Earliest cycle at or after `now` at which `step` could move a
-        transaction, or NEVER.
+        """`now` if `step(now)` could move a transaction, else NEVER.
 
-        A head becomes eligible the cycle after it entered its queue. Root
-        heads count even when the controller would refuse them, because a
-        refused grant still moves the root's round-robin pointer; leaves of
-        a cluster whose output FIFO is full do not count.
+        Called right after `step(now - 1)`, so every queued head entered
+        before `now` and is eligible.  Root heads count even when the
+        controller would refuse them, because a refused grant still moves
+        the root's round-robin pointer; leaves of a cluster whose output
+        FIFO is full do not count.
         """
-        first = NEVER  # earliest entry cycle of a head that counts
-        for q in self._root_queues:
-            if q:
-                if q[0].t_hop < now:
-                    return now
-                first = min(first, q[0].t_hop)
+        if any(self._root_queues):
+            return now
         for node, out in zip(self.cluster_nodes, self.cluster_out):
-            if len(out) < self.cluster_depth:
-                for q in node.ports:
-                    if q:
-                        if q[0].t_hop < now:
-                            return now
-                        first = min(first, q[0].t_hop)
-        return first + 1 if first < NEVER else NEVER
+            if len(out) < self.cluster_depth and any(node.ports):
+                return now
+        return NEVER
 
     # -- aging / accounting ------------------------------------------------
 
     def age_resident(self, now: int, period: int) -> None:
         age_queues(self.all_queues(), now, period)
-        self._stale_from = max(self._stale_from, now)
+        for node in self.cluster_nodes + self.roots:
+            node.stale_from = max(node.stale_from, now)
 
     def all_queues(self):
         for dma in self.dma_order:

@@ -188,7 +188,8 @@ def case_b_with(tmp_path, dma, key, value):
     ("display", "pace_boost", "nan", "'pace_boost'"),
     ("improc", "frame_kb", "inf", "'frame_kb'"),
     ("dsp", "rate_mbps", "inf", "'rate_mbps'"),  # a probe with mean 0
-    ("wifi", "rate_mbps", "-5", "wifi")])
+    ("wifi", "rate_mbps", "-5", "wifi"),
+    ("dsp", "region_base_kb", "-4096", "dsp")])
 def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
                                                           dma, key, value,
                                                           named):
@@ -266,3 +267,11 @@ def test_empty_region_is_config_error(tmp_path, capsys):
                "-o", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
     assert "dsp" in capsys.readouterr().err
+
+
+def test_misspelt_direction_is_config_error(tmp_path, capsys):
+    # a typo must not build a fill stream
+    cfg = case_b_with(tmp_path, "display", "direction", "drian")
+    assert main(["list-cores", "-c", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "display" in err and "direction" in err

@@ -368,35 +368,48 @@ class TestGateParking:
                 == outcome(stepped(cfg, end, UngatedWorld)))
 
 
-class ScratchRootFabric(NocFabric):
-    """A fabric that, on every cycle, rebuilds from scratch the eligible and
-    kept ports of each root whose memo `step` is about to use, and checks
-    them against the memo.  The memo of the first root is used on the state
-    the check sees, and a later root sees that state too unless an earlier
-    root granted, which makes it rebuild."""
+class ScratchFabric(NocFabric):
+    """A fabric that, on every cycle, rebuilds from scratch the kept ports
+    of each node whose memo is valid and checks them against the memo, and
+    checks that a root offers a head to the controller only when the pool
+    can take it.  A root grant makes the later roots rebuild and leaves the
+    cluster leaves alone, so every memo that `step` reuses is checked on
+    the state it is reused on."""
 
     def step(self, now, controller):
-        for ch, root in enumerate(self.roots):
-            if self._built[ch] >= self._stale_from:  # a memo hit
-                eligible = [i for i, q in enumerate(root.ports)
-                            if q and q[0].t_hop < now and q[0].channel == ch]
-                assert self._kept[ch] == keep(root.ports, eligible,
-                                              root.mode), (now, ch)
-                self.hits += 1
-        super().step(now, controller)
+        for node in self.roots + self.cluster_nodes:
+            if node.built >= node.stale_from:  # a memo hit
+                eligible = [i for i, q in enumerate(node.ports)
+                            if q and q[0].t_hop < now
+                            and node.channel in (None, q[0].channel)]
+                assert node.kept == keep(node.ports, eligible,
+                                         node.mode), (now, node.name)
+                self.hits[node.channel is None] += 1
+        enqueue = controller.enqueue
+
+        def checked(txn, at):
+            accepted = enqueue(txn, at)
+            assert accepted, (now, txn.id)
+            return accepted
+        controller.enqueue = checked
+        try:
+            super().step(now, controller)
+        finally:
+            del controller.enqueue
 
 
 def memo_hits(monkeypatch, cfg, cycles):
-    hits = []
+    """(root, cluster) memo hits of a checked run of `cfg`."""
+    fabrics = []
 
     def fabric(*args, **kwargs):
-        fab = ScratchRootFabric(*args, **kwargs)
-        fab.hits = 0
-        hits.append(fab)
+        fab = ScratchFabric(*args, **kwargs)
+        fab.hits = [0, 0]
+        fabrics.append(fab)
         return fab
     monkeypatch.setattr(engine, "NocFabric", fabric)
     engine.run(cfg, duration_cycles=cycles)
-    return hits[0].hits
+    return tuple(fabrics[0].hits)
 
 
 # three DMAs, two of them direct, that a two-entry pool backs up: root heads
@@ -423,59 +436,6 @@ lut = 2.0,1.8,1.6,1.45,1.3,1.2,1.1,0
 """
 
 
-class TestRootMemo:
-    """Each root's kept ports, cached until a grant, a head entering an
-    empty FIFO, an epoch or aging, must equal those rebuilt every cycle."""
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_mini_with_epochs_and_aging(self, monkeypatch, policy):
-        cfg = with_policy(parse_config(CONTENDED), policy)
-        assert memo_hits(monkeypatch, cfg, 20_000) > 1000
-
-    @pytest.mark.parametrize("case", ["A", "sweep"])
-    def test_packaged_scenarios(self, monkeypatch, case):
-        assert memo_hits(monkeypatch, load_packaged_scenario(case),
-                         30_000) > 10_000
-
-
-class ScratchClusterFabric(NocFabric):
-    """A fabric that, on every cycle, checks that each cluster `step` is
-    about to skip before its wake cycle has no eligible leaf head, and
-    that a root offers a head to the controller only when the pool can
-    take it."""
-
-    def step(self, now, controller):
-        for ci, node in enumerate(self.cluster_nodes):
-            if now < self._wake[ci]:
-                assert not any(q and q[0].t_hop < now
-                               for q in node.ports), (now, ci)
-                self.skips += 1
-        enqueue = controller.enqueue
-
-        def checked(txn, at):
-            accepted = enqueue(txn, at)
-            assert accepted, (now, txn.id)
-            return accepted
-        controller.enqueue = checked
-        try:
-            super().step(now, controller)
-        finally:
-            del controller.enqueue
-
-
-def cluster_skips(monkeypatch, cfg, cycles):
-    fabrics = []
-
-    def fabric(*args, **kwargs):
-        fab = ScratchClusterFabric(*args, **kwargs)
-        fab.skips = 0
-        fabrics.append(fab)
-        return fab
-    monkeypatch.setattr(engine, "NocFabric", fabric)
-    engine.run(cfg, duration_cycles=cycles)
-    return fabrics[0].skips
-
-
 # CONTENDED plus a slow probe alone in the media cluster, whose leaf is
 # mostly empty
 CLUSTERED = CONTENDED + """
@@ -492,22 +452,45 @@ region_len_kb = 64
 """
 
 
-class TestClusterWake:
-    """A cluster skipped before its wake cycle has no eligible leaf head,
-    and a root offers a head only to a pool with room."""
+class TestRootMemo:
+    """Each root's kept ports, cached until a head enters an empty queue it
+    reads, a grant, an epoch's re-levelling or aging, must equal those
+    rebuilt every cycle, and a root offers a head only to a pool with
+    room."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_mini_with_epochs_and_aging(self, monkeypatch, policy):
-        cfg = with_policy(parse_config(CLUSTERED), policy)
-        assert cluster_skips(monkeypatch, cfg, 20_000) > 1000
+        roots, clusters = memo_hits(
+            monkeypatch, with_policy(parse_config(CONTENDED), policy), 20_000)
+        # CONTENDED's one cluster grants on almost every cycle, and each
+        # grant makes it rebuild
+        assert roots > 1000 and clusters > 20
 
     @pytest.mark.parametrize("case", ["A", "sweep"])
     def test_packaged_scenarios(self, monkeypatch, case):
-        # their clusters are rarely idle in the first 30k cycles (44 skips
-        # on A, 33 on the sweep); over a full frame of A 177,907 of
-        # 509,938 cluster visits are skipped
-        assert cluster_skips(monkeypatch, load_packaged_scenario(case),
-                             30_000) > 20
+        roots, _ = memo_hits(monkeypatch, load_packaged_scenario(case),
+                             30_000)
+        assert roots > 10_000
+
+
+class TestClusterWake:
+    """A cluster whose memo holds no port skips its turn without a rescan;
+    its memo, like a root's, must equal the ports rebuilt every cycle."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mini_with_epochs_and_aging(self, monkeypatch, policy):
+        # CLUSTERED's media cluster is mostly idle
+        roots, clusters = memo_hits(
+            monkeypatch, with_policy(parse_config(CLUSTERED), policy), 20_000)
+        assert roots > 1000 and clusters > 1000
+
+    @pytest.mark.parametrize("case", ["A", "sweep"])
+    def test_packaged_scenarios(self, monkeypatch, case):
+        # their clusters are rarely idle in the first 30k cycles (37 hits
+        # on A, 27 on the sweep)
+        _, clusters = memo_hits(monkeypatch, load_packaged_scenario(case),
+                                30_000)
+        assert clusters > 20
 
 
 class TestRelevel:
