@@ -67,13 +67,12 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "duration", None) is not None:
+        if args.duration <= 0:
+            raise ValidationError(
+                f"--duration must be positive, not {args.duration}")
         cfg.duration_cycles = args.duration
     cfg.validate()
     return cfg
-
-
-def _summary_rows(reports: dict):
-    return metrics.policy_comparison(reports)
 
 
 def cmd_run(args) -> int:
@@ -83,7 +82,7 @@ def cmd_run(args) -> int:
     report = engine.run(cfg)
     os.makedirs(args.output, exist_ok=True)
     write_npi_csv(os.path.join(args.output, f"npi_{cfg.policy}.csv"), report)
-    rows = _summary_rows({cfg.policy: report})
+    rows = metrics.policy_comparison({cfg.policy: report})
     write_summary_csv(os.path.join(args.output, "summary.csv"), rows)
     print(f"{cfg.name}: policy {cfg.policy}, "
           f"{report.completed} transactions completed, "
@@ -107,7 +106,7 @@ def cmd_compare(args) -> int:
         pdir = os.path.join(args.output, policy)
         os.makedirs(pdir, exist_ok=True)
         write_npi_csv(os.path.join(pdir, "npi.csv"), reports[policy])
-    rows = _summary_rows(reports)
+    rows = metrics.policy_comparison(reports)
     write_summary_csv(os.path.join(args.output, "summary.csv"), rows)
     for policy in policies:
         r = reports[policy]
@@ -118,16 +117,19 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    freqs = [float(f) for f in args.frequencies.split(",") if f]
-    for f in freqs:
-        if f <= 0:
-            raise ValidationError("frequency must be positive")
+    try:
+        freqs = [float(f) for f in args.frequencies.split(",") if f]
+    except ValueError:
+        raise ValidationError(
+            f"bad --frequencies {args.frequencies!r}") from None
+    # with_frequency rejects a non-positive frequency before any run starts
+    runs = [with_frequency(cfg, freq) for freq in freqs]
     dma = args.dma
     if dma not in {e.dma_id for e in cfg.dmas}:
         raise ValidationError(f"unknown dma {dma}")
     rows = []
-    for freq in freqs:
-        report = engine.run(with_frequency(cfg, freq))
+    for freq, run_cfg in zip(freqs, runs):
+        report = engine.run(run_cfg)
         hist = report.priority_histogram(dma)
         rows.append((freq, dma, hist, report.mean_priority(dma),
                      report.mean_bandwidth(dma),

@@ -68,7 +68,6 @@ class DmaEntry:
                  frame_period_cycles: int) -> DmaSpec:
         return DmaSpec(
             dma_id=self.dma_id,
-            core=self.core,
             source_kind=self.kind,
             rate_bytes_per_s=self.rate_mbps * MB / desk_scale,
             frame_period_cycles=frame_period_cycles,
@@ -122,6 +121,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _check_text("name", self.name)
+        for key in ("seed", "duration_cycles"):  # duration 0: from frames
+            if getattr(self, key) < 0:
+                raise ValidationError(f"{key} {getattr(self, key)} is negative")
         # these feed frame_period_cycles, which resolved_duration() needs
         if self.desk_scale < 1:
             raise ValidationError("desk_scale must be >= 1")
@@ -228,21 +230,25 @@ def _check_text(label: str, value: str) -> None:
 # ---------------------------------------------------------------------------
 # parsing
 
-_GLOBAL_KEYS = {
-    "name": str, "seed": int, "desk_scale": int, "warmup_cycles": int,
-    "duration_cycles": int, "duration_frames": int, "fps": float,
-    "epoch_cycles": int, "meter_window_cycles": int,
+# the keys of each section in emit order, and their types; the global
+# section (None) has no header
+_SECTIONS = {
+    None: {
+        "name": str, "seed": int, "desk_scale": int, "warmup_cycles": int,
+        "duration_cycles": int, "duration_frames": int, "fps": float,
+        "epoch_cycles": int, "meter_window_cycles": int,
+    },
+    "dram": {
+        "io_freq_mhz": float, "channels": int, "ranks": int, "banks": int,
+        "column_bits": int, "CL": int, "tRCD": int, "tRP": int, "tWTR": int,
+        "tRTP": int, "tWR": int, "tRRD": int, "tFAW": int, "tBURST": int,
+    },
+    "controller": {
+        "policy": str, "capacity": int, "aging_period": int, "delta": int,
+        "static_split": bool,
+    },
+    "noc": {"depth": int, "cluster_depth": int},
 }
-_DRAM_KEYS = {
-    "io_freq_mhz": float, "channels": int, "ranks": int, "banks": int,
-    "column_bits": int, "CL": int, "tRCD": int, "tRP": int, "tWTR": int,
-    "tRTP": int, "tWR": int, "tRRD": int, "tFAW": int, "tBURST": int,
-}
-_CONTROLLER_KEYS = {
-    "policy": str, "capacity": int, "aging_period": int, "delta": int,
-    "static_split": bool,
-}
-_NOC_KEYS = {"depth": int, "cluster_depth": int}
 _DMA_KEYS = {
     "core": str, "queue": str, "cluster": str, "kind": str, "meter": str,
     "rate_mbps": float, "target_mbps": float, "frame_kb": float,
@@ -252,6 +258,15 @@ _DMA_KEYS = {
     "region_len_kb": int, "locality": float, "read_fraction": float,
     "pace_boost": float,
 }
+
+
+def _home(cfg: ScenarioConfig, section, key: str) -> tuple:
+    """The object and attribute that hold `key` of `section`."""
+    if section == "dram" and key != "io_freq_mhz":
+        return cfg.dram, key
+    if section == "noc":
+        return cfg, "noc_" + key
+    return cfg, key
 
 
 def _convert(raw: str, typ, key: str, lineno: int):
@@ -283,7 +298,7 @@ def _parse_lut(raw: str, lineno: int) -> tuple:
 
 def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    section = "global"
+    section = None
     dma_entry = None
     dma_raw = None
 
@@ -308,7 +323,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError(f"line {lineno}: malformed section header")
             finish_dma()
             header = line[1:-1].strip()
-            if header in ("dram", "controller", "noc"):
+            if header in _SECTIONS:
                 section = header
             elif header.startswith("dma "):
                 section = "dma"
@@ -324,36 +339,7 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if section == "global":
-            if key not in _GLOBAL_KEYS:
-                raise ParseError(f"line {lineno}: unknown key {key!r}")
-            value = _convert(raw, _GLOBAL_KEYS[key], key, lineno)
-            if key == "duration_cycles" and value <= 0:
-                raise ValidationError(
-                    f"line {lineno}: duration_cycles must be positive")
-            setattr(cfg, key, value)
-        elif section == "dram":
-            if key not in _DRAM_KEYS:
-                raise ParseError(f"line {lineno}: unknown key {key!r} in [dram]")
-            value = _convert(raw, _DRAM_KEYS[key], key, lineno)
-            if key == "io_freq_mhz":
-                cfg.io_freq_mhz = value
-            else:
-                setattr(cfg.dram, key, value)
-        elif section == "controller":
-            if key not in _CONTROLLER_KEYS:
-                raise ParseError(
-                    f"line {lineno}: unknown key {key!r} in [controller]")
-            setattr(cfg, key, _convert(raw, _CONTROLLER_KEYS[key], key, lineno))
-        elif section == "noc":
-            if key not in _NOC_KEYS:
-                raise ParseError(f"line {lineno}: unknown key {key!r} in [noc]")
-            value = _convert(raw, _NOC_KEYS[key], key, lineno)
-            if key == "depth":
-                cfg.noc_depth = value
-            else:
-                cfg.noc_cluster_depth = value
-        elif section == "dma":
+        if section == "dma":
             if key not in _DMA_KEYS:
                 raise ParseError(
                     f"line {lineno}: unknown key {key!r} in [dma ...]")
@@ -361,8 +347,16 @@ def parse_config(text: str) -> ScenarioConfig:
                 dma_raw[key] = _parse_lut(raw, lineno)
             else:
                 dma_raw[key] = _convert(raw, _DMA_KEYS[key], key, lineno)
-        else:  # pragma: no cover
-            raise AssertionError(section)
+            continue
+        keys = _SECTIONS[section]
+        if key not in keys:
+            where = f" in [{section}]" if section else ""
+            raise ParseError(f"line {lineno}: unknown key {key!r}{where}")
+        value = _convert(raw, keys[key], key, lineno)
+        if key == "duration_cycles" and value <= 0:
+            raise ValidationError(
+                f"line {lineno}: duration_cycles must be positive")
+        setattr(*_home(cfg, section, key), value)
     finish_dma()
     cfg.validate()
     return cfg
@@ -371,25 +365,16 @@ def parse_config(text: str) -> ScenarioConfig:
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(emit(cfg)) reproduces cfg."""
     out = []
-    for key in _GLOBAL_KEYS:
-        if key == "duration_cycles" and cfg.duration_cycles == 0:
-            continue  # 0 means frame-derived and is not a legal input value
-        out.append(f"{key} = {getattr(cfg, key)}")
-    out.append("")
-    out.append("[dram]")
-    out.append(f"io_freq_mhz = {cfg.io_freq_mhz}")
-    for key in _DRAM_KEYS:
-        if key != "io_freq_mhz":
-            out.append(f"{key} = {getattr(cfg.dram, key)}")
-    out.append("")
-    out.append("[controller]")
-    for key in _CONTROLLER_KEYS:
-        out.append(f"{key} = {getattr(cfg, key)}")
-    out.append("")
-    out.append("[noc]")
-    out.append(f"depth = {cfg.noc_depth}")
-    if cfg.noc_cluster_depth is not None:
-        out.append(f"cluster_depth = {cfg.noc_cluster_depth}")
+    for section, keys in _SECTIONS.items():
+        if section:
+            out += ["", f"[{section}]"]
+        for key in keys:
+            value = getattr(*_home(cfg, section, key))
+            # a frame-derived duration (0) and an unset cluster depth (None)
+            # have no input value
+            if value is None or key == "duration_cycles" and value == 0:
+                continue
+            out.append(f"{key} = {value}")
     for e in cfg.dmas:
         out.append("")
         out.append(f"[dma {e.dma_id}]")

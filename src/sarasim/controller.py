@@ -19,7 +19,9 @@ one `Policy` record that the engine, the NoC and this controller all read.
 
 Ready set.  The transactions held for a channel sit in groups keyed by
 (rank, bank, row, kind), oldest first, as in the per-bank queues of FR-FCFS
-controllers (Rixner et al., ISCA 2000).  `DramModel.earliest_issue` and the
+controllers (Rixner et al., ISCA 2000).  The groups are the controller's
+only store of held transactions; each of the five queues keeps only a count
+(`held`), which the static split reads.  `DramModel.earliest_issue` and the
 end of the data burst behind it depend only on that key, the DRAM state and
 `now`, so each group caches one result (`issue_at`) and one burst end
 (`done_at`) for all its transactions.  A scan of a channel recomputes a
@@ -51,7 +53,7 @@ the group's issue cycle, which `next_try` already counts.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -111,7 +113,7 @@ class ControllerState:
         self.delta = delta
         self.queue_of_dma = dict(queue_of_dma or {})
         self.static_split = static_split
-        self.queues = [deque() for _ in range(NUM_QUEUES)]
+        self.held = [0] * NUM_QUEUES  # transactions held per queue
         self.occupancy = 0
         self.rr_pointer = 0
         self._seq = 0
@@ -135,7 +137,7 @@ class ControllerState:
         the pool is `full`, or under a static split the queue is at its
         share."""
         qi = self.queue_of_dma[txn.source]
-        if self.full() or (self.static_split and len(self.queues[qi])
+        if self.full() or (self.static_split and self.held[qi]
                            >= self.capacity // NUM_QUEUES):
             return False
         txn.queue = qi
@@ -150,7 +152,7 @@ class ControllerState:
             group = groups[key] = _Group()
             self.next_try[txn.channel] = 0
         group.txns.append(txn)
-        self.queues[qi].append(txn)
+        self.held[qi] += 1
         self.occupancy += 1
         return True
 
@@ -158,7 +160,8 @@ class ControllerState:
 
     def apply_aging(self, now: int) -> None:
         if self.policy.aging:
-            age_queues(self.queues, now, self.aging_period)
+            age_queues((group.txns for groups in self._groups.values()
+                        for group in groups.values()), now, self.aging_period)
 
     # -- scheduling --------------------------------------------------------
 
@@ -256,7 +259,7 @@ class ControllerState:
             return None
         self.next_try[channel] = 0  # an issue changes bank and bus state
         txn = self.policy.select(self, ready, hits, unhealthy)
-        self.queues[txn.queue].remove(txn)
+        self.held[txn.queue] -= 1
         groups, key = self._groups[channel], group_key(txn)
         groups[key].txns.remove(txn)
         if not groups[key].txns:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import READ, Transaction
+from .core import READ, TXN_SIZE_BYTES, Transaction
 
 ROW_HIT = 0
 ROW_MISS = 1
@@ -82,13 +82,12 @@ class AddressMap:
     column field land in the same (channel, rank, bank, row).
     """
 
-    def __init__(self, timing: DramTimingConfig, offset_bits: int = 6):
-        self.offset_bits = offset_bits
+    def __init__(self, timing: DramTimingConfig):
         self.channel_bits = (timing.channels - 1).bit_length()
         self.column_bits = timing.column_bits
         self.bank_bits = (timing.banks - 1).bit_length()
         self.rank_bits = (timing.ranks - 1).bit_length()
-        self._ch_shift = offset_bits
+        self._ch_shift = (TXN_SIZE_BYTES - 1).bit_length()  # byte offset
         self._col_shift = self._ch_shift + self.channel_bits
         self._bank_shift = self._col_shift + self.column_bits
         self._rank_shift = self._bank_shift + self.bank_bits
@@ -218,19 +217,16 @@ class DramModel:
         cls = self.classify(txn)
         if cls == ROW_HIT:
             ready = bank.earliest_read if txn.kind == READ else bank.earliest_write
-            offset = 0
         elif cls == BANK_CLOSED:
             rrd, faw = self._faw_bound(txn.channel, txn.rank)
             ready = max(bank.earliest_activate, rrd, faw)
-            offset = t.tRCD
         else:
             rrd, faw = self._faw_bound(txn.channel, txn.rank)
             ready = max(bank.earliest_precharge,
                         bank.earliest_activate - t.tRP,
                         rrd - t.tRP, faw - t.tRP)
-            offset = t.tRP + t.tRCD
         start = max(now, ready)
-        data_latency = offset + t.CL + t.tBURST
+        data_latency = self.latency[cls]
         completion = self.bus[txn.channel].earliest(start + data_latency)
         return completion - data_latency
 

@@ -66,7 +66,6 @@ ID_STRIDE = 1 << 32  # per-DMA transaction id spacing
 
 @dataclass
 class SimulationReport:
-    scenario_name: str
     policy: str
     fingerprint: tuple
     dma_order: list
@@ -183,8 +182,7 @@ class World:
             if e.queue == "media":
                 self.media_dmas.add(e.dma_id)
             if isinstance(meter, FrameProgressMeter):
-                self.frame_meters.append((e.dma_id, meter,
-                                          spec.frame_period_cycles))
+                self.frame_meters.append(meter)
 
         self.boosted = frozenset()  # see Policy.media_first
         self.inflight = []  # heap of (completion, seq, txn)
@@ -200,8 +198,7 @@ class World:
         # gate-parked DMA -> its next poll, which would find no buffer room
         self._gated = {}
         # periods of the phase-2 boundaries, and the next boundary cycle
-        self._periods = [cfg.epoch_cycles] + [
-            period for _, _, period in self.frame_meters]
+        self._periods = [cfg.epoch_cycles, cfg.frame_period_cycles]
         if self.policy.aging:
             self._periods.append(cfg.aging_period)
         self._boundary = -1
@@ -259,8 +256,8 @@ class World:
         if now > self._boundary:
             self._boundary = self._next_boundary(now)
         if now == self._boundary:
-            for dma, meter, period in self.frame_meters:
-                if now % period == 0:
+            if now % cfg.frame_period_cycles == 0:
+                for meter in self.frame_meters:
                     meter.start_frame(now)
             if now > 0 and now % cfg.epoch_cycles == 0:
                 self._reevaluate(now)
@@ -387,7 +384,6 @@ class World:
         for e in cfg.dmas:
             targets[e.dma_id] = e.target_bytes_per_s
         return SimulationReport(
-            scenario_name=cfg.name,
             policy=cfg.policy,
             fingerprint=cfg.fingerprint(),
             dma_order=self.dma_order,

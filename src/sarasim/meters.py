@@ -11,7 +11,7 @@ feedback yet, and are clamped to [0, NPI_MAX].
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import PRIORITY_LEVELS, READ, Transaction, ValidationError
 from .dram import InvalidWindow
@@ -42,18 +42,17 @@ def clamp_npi(value: float) -> float:
 
 @dataclass(frozen=True)
 class PriorityLut:
-    """2**k lower-bound NPI values; entries[p] is the lowest NPI admitted at
-    priority level p.  Monotone non-increasing, floor entry 0."""
+    """PRIORITY_LEVELS lower-bound NPI values; entries[p] is the lowest NPI
+    admitted at priority level p.  Monotone non-increasing, floor entry 0."""
 
     entries: tuple = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.0)
-    k: int = 3
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        if len(self.entries) != (1 << self.k):
-            raise MalformedLut(f"expected {1 << self.k} entries")
+        if len(self.entries) != PRIORITY_LEVELS:
+            raise MalformedLut(f"expected {PRIORITY_LEVELS} entries")
         if any(a < b for a, b in zip(self.entries, self.entries[1:])):
             raise MalformedLut("entries must be monotone non-increasing")
         if self.entries[-1] != 0.0:
@@ -76,8 +75,6 @@ def translate(lut: PriorityLut, npi: float) -> int:
 
 class LatencyMeter:
     """Ring of the last W completed-read latencies versus a preset limit."""
-
-    kind = "latency"
 
     def __init__(self, dma_id: str, max_latency_limit: float, window: int = 64):
         self.dma_id = dma_id
@@ -111,8 +108,6 @@ class FrameProgressMeter:
     """Frame progress against a linear reference growing over the frame
     period.  No feedback yet this frame reads as NPI_MAX."""
 
-    kind = "frame_progress"
-
     def __init__(self, dma_id: str, frame_bytes: int, frame_period_cycles: int,
                  reference_slope: float = 1.0):
         self.dma_id = dma_id
@@ -120,13 +115,11 @@ class FrameProgressMeter:
         self.frame_period_cycles = frame_period_cycles
         self.reference_slope = reference_slope
         self.bytes_done = 0
-        self.frame_elapsed_cycles = 0
         self.frame_start_cycle = 0
 
     def start_frame(self, cycle: int) -> None:
         self.bytes_done = 0
         self.frame_start_cycle = cycle
-        self.frame_elapsed_cycles = 0
 
     def on_completion(self, txn: Transaction, cycle: int) -> None:
         if txn.source != self.dma_id:
@@ -134,25 +127,24 @@ class FrameProgressMeter:
         self.bytes_done = min(self.bytes_done + txn.size_bytes,
                               self.frame_bytes)
 
-    def npi(self, cycle: int | None = None) -> float:
-        if cycle is not None:
-            self.frame_elapsed_cycles = cycle - self.frame_start_cycle
-        if self.frame_elapsed_cycles <= 0:
+    def npi(self, cycle: int) -> float:
+        elapsed = cycle - self.frame_start_cycle
+        if elapsed <= 0:
             return NPI_MAX
         if self.bytes_done == 0:
             # nothing completed yet this frame: no feedback to judge by
             return NPI_MAX
         progress = self.bytes_done / self.frame_bytes
-        reference = (self.reference_slope * self.frame_elapsed_cycles
-                     / self.frame_period_cycles)
+        reference = self.reference_slope * elapsed / self.frame_period_cycles
         if reference == 0.0:
             return NPI_MAX
         return clamp_npi(progress / reference)
 
 
 class OccupancyMeter:
-    """Buffer occupancy versus its initial level, normalized by the bytes the
-    consumer drains over a fixed measurement horizon (window_cycles).
+    """Buffer occupancy versus its initial level, half the buffer, normalized
+    by the bytes the consumer drains over a fixed measurement horizon
+    (window_cycles).
 
     direction DRAIN models the display (consumer empties the buffer at
     R_read, the DMA refills it); direction FILL models the camera (sensor
@@ -160,17 +152,16 @@ class OccupancyMeter:
     acting only after the first DMA completion, so startup reads exactly 1.0.
     """
 
-    kind = "occupancy"
-
     def __init__(self, dma_id: str, buffer_bytes: float,
                  drain_rate_bytes_per_s: float, clock_freq_hz: float,
-                 direction: int = DRAIN, initial_fraction: float = 0.5,
-                 window_cycles: int = 100):
+                 direction: int = DRAIN, window_cycles: int = 100):
+        if window_cycles <= 0:
+            raise InvalidWindow("window_cycles must be positive")
         self.dma_id = dma_id
         self.buffer_bytes = buffer_bytes
         self.rate_per_cycle = drain_rate_bytes_per_s / clock_freq_hz
         self.direction = direction
-        self.initial_occupancy = initial_fraction * buffer_bytes
+        self.initial_occupancy = buffer_bytes / 2
         self.occupancy = self.initial_occupancy
         self.window_cycles = window_cycles
         self.active_since = None  # external rate starts at first completion
@@ -203,25 +194,22 @@ class OccupancyMeter:
         else:
             self.occupancy = max(0.0, self.occupancy - txn.size_bytes)
 
-    def npi(self, cycle: int, elapsed_cycles: int | None = None) -> float:
-        if elapsed_cycles is None:
-            elapsed_cycles = self.window_cycles
-        if elapsed_cycles <= 0:
-            raise InvalidWindow("elapsed_cycles must be positive")
+    def npi(self, cycle: int) -> float:
         self._apply_flow(cycle)
         delta = self.occupancy - self.initial_occupancy
         if self.direction == FILL:
             delta = -delta  # a filling backlog is the unhealthy direction
-        return clamp_npi(1.0 + delta / (self.rate_per_cycle * elapsed_cycles))
+        return clamp_npi(1.0 + delta
+                         / (self.rate_per_cycle * self.window_cycles))
 
 
 class BandwidthMeter:
     """Delivered bytes over a sliding cycle window versus a target rate."""
 
-    kind = "bandwidth"
-
     def __init__(self, dma_id: str, target_bytes_per_s: float,
                  clock_freq_hz: float, window_cycles: int = 100):
+        if window_cycles <= 0:
+            raise InvalidWindow("window_cycles must be positive")
         self.dma_id = dma_id
         self.target_bytes_per_s = target_bytes_per_s
         self.clock_freq_hz = clock_freq_hz
@@ -243,14 +231,12 @@ class BandwidthMeter:
         while comp and comp[0][0] <= horizon:
             self.bytes_in_window -= comp.popleft()[1]
 
-    def npi(self, cycle: int, elapsed_cycles: int | None = None) -> float:
-        window = self.window_cycles if elapsed_cycles is None else elapsed_cycles
-        if window <= 0:
-            raise InvalidWindow("elapsed_cycles must be positive")
+    def npi(self, cycle: int) -> float:
         if self.target_bytes_per_s == 0.0:
             return NPI_MAX
         self._trim(cycle)
         if not self.ever_completed:
             return NPI_MAX  # startup: no feedback to judge by yet
-        measured = self.bytes_in_window * self.clock_freq_hz / window
+        measured = (self.bytes_in_window * self.clock_freq_hz
+                    / self.window_cycles)
         return clamp_npi(measured / self.target_bytes_per_s)

@@ -1,8 +1,8 @@
 """Metric recording and the policy-comparison summaries.
 
-The sink stores per-DMA NPI samples (one per re-evaluation epoch), per-DMA
-completed-byte counts per epoch, and run-level DRAM totals.  Histograms are
-time-weighted: a sample's priority level holds until the next sample.
+The sink stores per-DMA NPI samples (one per re-evaluation epoch) and
+per-DMA completed-byte counts per epoch.  Histograms are time-weighted: a
+sample's priority level holds until the next sample.
 """
 
 from __future__ import annotations
@@ -47,21 +47,18 @@ class PriorityHistogram:
 class MetricsSink:
     def __init__(self):
         self.series = {}        # dma -> list of NpiSample
-        self._last_cycle = {}
         self.bytes_by_dma = {}  # dma -> list of (cycle, bytes completed)
-        self.total_bytes = 0
 
     def record(self, sample: NpiSample) -> None:
-        last = self._last_cycle.get(sample.dma_id, -1)
+        series = self.series.get(sample.dma_id)
+        last = series[-1].cycle if series else -1
         if sample.cycle < last:
             raise OutOfOrder(
                 f"{sample.dma_id}: cycle {sample.cycle} after {last}")
-        self._last_cycle[sample.dma_id] = sample.cycle
         self.series.setdefault(sample.dma_id, []).append(sample)
 
     def record_bytes(self, dma_id: str, cycle: int, nbytes: int) -> None:
         self.bytes_by_dma.setdefault(dma_id, []).append((cycle, nbytes))
-        self.total_bytes += nbytes
 
 
 def _window_samples(series, start: int, end: int):

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import READ, WRITE, TXN_SIZE_BYTES, Transaction
+from .dram import NEVER
+from .meters import DRAIN
 
 BURSTY_FRAME = "bursty_frame"
 CONSTANT_RATE = "constant_rate"
@@ -34,7 +36,6 @@ CREDIT_CAP_TXNS = 32
 @dataclass
 class DmaSpec:
     dma_id: str
-    core: str
     source_kind: str
     rate_bytes_per_s: float = 0.0
     frame_period_cycles: int = 0
@@ -42,7 +43,6 @@ class DmaSpec:
     address_region: tuple = (0, 1 << 20)
     locality: float = 1.0
     read_fraction: float = 1.0
-    size_bytes: int = TXN_SIZE_BYTES
     pace_boost: float = 2.0  # occupancy-gated refill headroom factor
 
     def validate(self) -> None:
@@ -87,7 +87,7 @@ class Generator:
             self.pace *= spec.pace_boost
         self._next_id = id_base
         if spec.source_kind == LATENCY_PROBE and self.rate_per_cycle > 0:
-            mean = spec.size_bytes / self.rate_per_cycle
+            mean = TXN_SIZE_BYTES / self.rate_per_cycle
             self.state.next_probe_cycle = float(rng.exponential(mean))
 
     # -- address stream ----------------------------------------------------
@@ -95,7 +95,7 @@ class Generator:
     def _next_addr(self) -> int:
         base, length = self.spec.address_region
         addr = self.state.next_address
-        size = self.spec.size_bytes
+        size = TXN_SIZE_BYTES
         if self.spec.locality < 1.0 and self.rng.random() >= self.spec.locality:
             slots = length // size
             addr = base + int(self.rng.integers(slots)) * size
@@ -116,8 +116,7 @@ class Generator:
     def _make(self, now: int, priority: int) -> Transaction:
         txn = Transaction(id=self._next_id, source=self.spec.dma_id,
                           kind=self._kind(), address=self._next_addr(),
-                          size_bytes=self.spec.size_bytes, priority=priority,
-                          t_created=now)
+                          priority=priority, t_created=now)
         self._next_id += 1
         self.state.inflight_bytes += txn.size_bytes
         return txn
@@ -131,8 +130,8 @@ class Generator:
         meter = self.occupancy_meter
         if meter is None:
             return True
-        size = self.spec.size_bytes
-        if meter.direction == 0:  # DRAIN: refill only while there is headroom
+        size = TXN_SIZE_BYTES
+        if meter.direction == DRAIN:  # refill only while there is headroom
             return (meter.occupancy + self.state.inflight_bytes + size
                     <= meter.buffer_bytes)
         # FILL: drain only what the producer has actually buffered
@@ -146,7 +145,7 @@ class Generator:
             st.last_cycle = now
             return out
         kind = spec.source_kind
-        size = spec.size_bytes
+        size = TXN_SIZE_BYTES
 
         if kind == BURSTY_FRAME:
             while now >= st.next_boundary:
@@ -179,7 +178,7 @@ class Generator:
     def _accrue(self, now: int) -> None:
         st = self.state
         st.byte_credit += self.pace * (now - st.last_cycle)
-        cap = CREDIT_CAP_TXNS * self.spec.size_bytes
+        cap = CREDIT_CAP_TXNS * TXN_SIZE_BYTES
         if st.byte_credit > cap:
             st.byte_credit = cap
         st.last_cycle = now
@@ -192,7 +191,7 @@ class Generator:
         full leaf never reach the generator (see `poll_from`)."""
         return (self.spec.source_kind in CREDIT_KINDS
                 and self.occupancy_meter is not None
-                and self.state.byte_credit >= self.spec.size_bytes
+                and self.state.byte_credit >= TXN_SIZE_BYTES
                 and not self._occupancy_space())
 
     def skip_polls(self, poll: int, until: int) -> int:
@@ -200,7 +199,7 @@ class Generator:
         which `idle_poll()` held, exactly as polling at each due cycle
         would; returns the first poll cycle at or after `until`."""
         st = self.state
-        cap = CREDIT_CAP_TXNS * self.spec.size_bytes
+        cap = CREDIT_CAP_TXNS * TXN_SIZE_BYTES
         while poll < until:
             if st.byte_credit >= cap:
                 # a capped credit stays capped: later polls only move
@@ -237,16 +236,16 @@ class Generator:
         """Earliest cycle at which this generator may emit again."""
         spec, st = self.spec, self.state
         if self.rate_per_cycle == 0.0:
-            return 1 << 62
+            return NEVER
         if spec.source_kind == BURSTY_FRAME:
-            if st.bytes_left_in_frame >= spec.size_bytes:
+            if st.bytes_left_in_frame >= TXN_SIZE_BYTES:
                 return now
             return st.next_boundary
         if spec.source_kind == LATENCY_PROBE:
             if st.pending_probes > 0:
                 return now
             return int(st.next_probe_cycle)
-        deficit = spec.size_bytes - st.byte_credit
+        deficit = TXN_SIZE_BYTES - st.byte_credit
         if deficit <= 0:
             return now
         return now + max(1, int(deficit / self.pace))

@@ -198,13 +198,13 @@ class TestMeterEquations:
 
     def test_occupancy(self):
         m = occupancy_meter(rate=8.0)
-        assert m.npi(cycle=0, elapsed_cycles=100) == 1.0
+        assert m.npi(cycle=0) == 1.0
         m.occupancy = m.initial_occupancy - 0.5 * 8.0 * 100
-        assert m.npi(cycle=0, elapsed_cycles=100) == 0.5
+        assert m.npi(cycle=0) == 0.5
         m.occupancy = m.initial_occupancy + 8.0 * 100
-        assert m.npi(cycle=0, elapsed_cycles=100) == 2.0
+        assert m.npi(cycle=0) == 2.0
         with pytest.raises(InvalidWindow):
-            m.npi(cycle=0, elapsed_cycles=0)
+            occupancy_meter(window=0)
 
     def test_bandwidth(self):
         m = BandwidthMeter("d", target_bytes_per_s=64.0, clock_freq_hz=1.0,
@@ -232,7 +232,7 @@ class TestMeterEquations:
                                reference_slope=1.0)
         m.bytes_done = 50
         assert m.npi(cycle=50) == 1.0
-        assert occupancy_meter().npi(cycle=0, elapsed_cycles=100) == 1.0
+        assert occupancy_meter().npi(cycle=0) == 1.0
         b = BandwidthMeter("d", target_bytes_per_s=1.0, clock_freq_hz=1.0,
                            window_cycles=10)
         b.on_completion(read_txn(source="d", size=10), 10)

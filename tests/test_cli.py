@@ -275,3 +275,39 @@ def test_misspelt_direction_is_config_error(tmp_path, capsys):
     assert main(["list-cores", "-c", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "display" in err and "direction" in err
+
+
+@pytest.mark.parametrize("in_file", [True, False])
+def test_negative_seed_is_config_error(tmp_path, capsys, in_file):
+    # numpy's SeedSequence takes no negative entropy
+    if in_file:
+        path = tmp_path / "case_b.cfg"
+        path.write_text(open(CASE_B, encoding="utf-8").read()
+                        .replace("seed = 7", "seed = -1"))
+        argv = ["run", "-c", str(path)]
+    else:
+        argv = ["run", "-c", CASE_B, "--seed", "-1"]
+    rc = main(argv + ["--duration", "3000", "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("duration", ["0", "-5"])
+def test_nonpositive_duration_option_is_config_error(tmp_path, capsys,
+                                                     duration):
+    # a non-positive duration used to fall back to the frame-derived one
+    out = tmp_path / "out"
+    rc = main(["run", "-c", CASE_B, "--duration", duration, "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "--duration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_frequency_is_config_error(tmp_path, capsys):
+    rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
+               "display", "--frequencies", "1700,abc",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "abc" in err and "runtime error" not in err

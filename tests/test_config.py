@@ -2,6 +2,7 @@
 emit/parse round trip."""
 
 import dataclasses
+import hashlib
 import re
 from importlib import resources
 
@@ -85,6 +86,29 @@ class TestParse:
         with pytest.raises(ValidationError, match="duration_cycles"):
             parse_config("duration_cycles = 0\n" + MINIMAL)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            parse_config(MINIMAL.replace("seed = 3", "seed = -1"))
+
+    def test_negative_duration_rejected_but_zero_means_frames(self):
+        cfg = parse_config(MINIMAL)
+        cfg.duration_cycles = 0
+        cfg.validate()
+        cfg.duration_cycles = -5
+        with pytest.raises(ValidationError, match="duration_cycles"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("section,where", [
+        ("", ""), ("[dram]", " in [dram]"),
+        ("[controller]", " in [controller]"), ("[noc]", " in [noc]"),
+        ("[dma two]", " in [dma ...]")])
+    def test_unknown_key_text_names_the_section(self, section, where):
+        # line 4 opens the section (or stays blank), line 5 is the bad key
+        text = MINIMAL.replace("seed = 3", f"seed = 3\n{section}\nbogus = 1")
+        with pytest.raises(ParseError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line 5: unknown key 'bogus'{where}"
+
     def test_missing_required_dma_key(self):
         broken = MINIMAL.replace("meter = latency\n", "")
         with pytest.raises(ValidationError, match="meter"):
@@ -132,6 +156,21 @@ class TestEmit:
     def test_emit_is_stable(self):
         cfg = load_packaged_scenario("A")
         assert emit_config(cfg) == emit_config(parse_config(emit_config(cfg)))
+
+    # sha256 of the canonical text of each packaged scenario, recorded
+    # before parse_config and emit_config shared one section table
+    EMITTED = {
+        "A": "37137977d9b8b8eaa19571cf62cc500c5d637ec6757a900322e37b356ffb2c79",
+        "B": "279604f0394259d339b5936a7203ddfbc7c4952aad15591bec57e49eadf95fc9",
+        "sweep":
+            "dcd6363e91ce08eeffa10afbcfb793ce39ea43e99e8547f4ba570ca138519de3",
+    }
+
+    @pytest.mark.parametrize("case", list(EMITTED))
+    def test_emitted_text_matches_recorded_digest(self, case):
+        text = emit_config(load_packaged_scenario(case))
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == self.EMITTED[case])
 
 
 class TestDerivedClones:

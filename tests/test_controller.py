@@ -47,13 +47,15 @@ class TestEnqueue:
         m, c = model(), make_controller()
         t = make_txn(m, 1, queue=QUEUE_NAMES.index("dsp"))
         assert c.enqueue(t, 0)
-        assert t in c.queues[QUEUE_NAMES.index("dsp")]
+        assert t.queue == QUEUE_NAMES.index("dsp") and t in resident(c)
+        assert c.held == [0, 0, 1, 0, 0]
 
     def test_media_designation(self):
         m, c = model(), make_controller()
         t = make_txn(m, 1, queue=QUEUE_NAMES.index("media"))
         c.enqueue(t, 0)
-        assert t in c.queues[QUEUE_NAMES.index("media")]
+        assert t.queue == QUEUE_NAMES.index("media") and t in resident(c)
+        assert c.held == [0, 0, 0, 1, 0]
 
     def test_shared_pool_backpressure_at_capacity(self):
         m, c = model(), make_controller()
@@ -112,8 +114,9 @@ def arrival_order(txns):
 
 
 def resident(ctrl):
-    """Every transaction the controller holds, queue by queue."""
-    return [t for q in ctrl.queues for t in q]
+    """Every transaction the controller holds, group by group."""
+    return [t for groups in ctrl._groups.values()
+            for group in groups.values() for t in group.txns]
 
 
 def reference_policy1(ctrl, ready):

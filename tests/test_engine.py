@@ -9,6 +9,7 @@ import pytest
 from sarasim import engine, metrics
 from sarasim.cli import write_npi_csv, write_summary_csv
 from sarasim.config import load_packaged_scenario, parse_config, with_policy
+from sarasim.controller import QUEUE_NAMES
 from sarasim.dram import NEVER
 from sarasim.noc import NocFabric, keep
 
@@ -517,3 +518,62 @@ class TestRelevel:
             world.skip_idle(20_000)
         assert epochs >= 20_000 // cfg.epoch_cycles - 1
         assert changes > 0
+
+
+# sha256 of the NPI and summary CSVs of 20,000 cycles under a static split
+# of the controller pool, as recorded while the controller still kept a deque
+# per queue next to its per-bank groups
+STATIC_SPLIT_DIGESTS = {
+    ("A", "QOS"): (
+        "1e685cd3bcd55e2d7b5326f6332bbeeb24d8dbbb3e98323f80901fbf920edb81",
+        "2a2105ae65d2ed2dc24d875c40b899c6f710199728c5250538703c75f3c12cdd"),
+    ("A", "QOS_RB"): (
+        "ee0edb47997d2e6f1237528cc06a4a9f1da5d1cfbfe310fcb93bbea28f9de419",
+        "d340a696a586d1cd945372447aea3f0cc81ec799af6aa17fe99606d3d81300cc"),
+    ("A", "FCFS"): (
+        "cc25f3fa6a83103e2797f150bd9ebae2265bd16c14296b30cd9ac862274019cf",
+        "8bdaf300444e6bec256c40fcf0c7471d99a797bca7ede3336f314815cd46354a"),
+    ("sweep", "QOS"): (
+        "afa96360b8c21ea22bed2d5177183e699eafa1dda4cae6c09f3ddd24a9f76509",
+        "08c6e35847e716e8162695119d3cac258bddca59cf216d8159377a4fd51d18a1"),
+    ("sweep", "QOS_RB"): (
+        "68271af06e7e80915eaa1326bd3d042abc8fdaf30970c96409773a849e05b6cc",
+        "354206a86ab10ff5fe7f81cf362ed205b1d3cb143c6e4b7b4ad303255f81721d"),
+    ("sweep", "FCFS"): (
+        "28194596a6175b44691f3c61baca6b5dad825c988c5b1271518126984b3ec3b4",
+        "c529f8ac6ed9715e9e1c06ca50f8d3f2dc454adb59cb2450d4506d93d810f985"),
+}
+
+
+class TestStaticSplit:
+    """Under `static_split` each of the five queues holds at most its share
+    of the pool; the per-queue counts must equal the held transactions,
+    stepping must equal `engine.run`, and the outputs their digests."""
+
+    @pytest.mark.parametrize("case,policy", list(STATIC_SPLIT_DIGESTS))
+    def test_shares_hold_and_outputs_match(self, tmp_path, case, policy):
+        cfg = with_policy(load_packaged_scenario(case), policy)
+        cfg.static_split = True
+        share = cfg.capacity // len(QUEUE_NAMES)
+        world = engine.World(cfg)
+        cycles_at_share = 0
+        for _ in range(20_000):
+            world.step()
+            held = [0] * len(QUEUE_NAMES)
+            for groups in world.controller._groups.values():
+                for group in groups.values():
+                    for txn in group.txns:
+                        held[txn.queue] += 1
+            assert world.controller.held == held
+            assert max(held) <= share
+            cycles_at_share += share in held
+        assert cycles_at_share > 0  # the split binds
+        report = engine.run(cfg, duration_cycles=20_000)
+        assert outcome(report) == outcome(world.report())
+        assert report.generated == report.completed + report.resident_at_end
+        npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
+        write_npi_csv(npi, report)
+        write_summary_csv(summary, metrics.policy_comparison({policy: report}))
+        assert (hashlib.sha256(npi.read_bytes()).hexdigest(),
+                hashlib.sha256(summary.read_bytes()).hexdigest()
+                ) == STATIC_SPLIT_DIGESTS[case, policy]

@@ -118,32 +118,33 @@ class TestFrameProgressMeter:
 
 # -- occupancy meter ---------------------------------------------------------
 
-def occupancy_meter(direction=DRAIN, rate=8.0):
+def occupancy_meter(direction=DRAIN, rate=8.0, window=100):
     # clock 1 Hz so rate_per_cycle == drain_rate_bytes_per_s
     return OccupancyMeter("display", buffer_bytes=4096,
                           drain_rate_bytes_per_s=rate, clock_freq_hz=1.0,
-                          direction=direction, window_cycles=100)
+                          direction=direction, window_cycles=window)
 
 
 class TestOccupancyMeter:
     def test_zero_delta_is_one(self):
         m = occupancy_meter()
-        assert m.npi(cycle=0, elapsed_cycles=100) == 1.0
+        assert m.npi(cycle=0) == 1.0
 
     def test_deficit_half_drain_is_half(self):
         m = occupancy_meter(rate=8.0)
         m.occupancy = m.initial_occupancy - 0.5 * 8.0 * 100
-        assert m.npi(cycle=0, elapsed_cycles=100) == 0.5
+        assert m.npi(cycle=0) == 0.5
 
     def test_surplus_full_drain_is_two(self):
         m = occupancy_meter(rate=8.0)
         m.occupancy = m.initial_occupancy + 8.0 * 100
-        assert m.npi(cycle=0, elapsed_cycles=100) == 2.0
+        assert m.npi(cycle=0) == 2.0
 
     def test_zero_window_rejected(self):
-        m = occupancy_meter()
         with pytest.raises(InvalidWindow):
-            m.npi(cycle=0, elapsed_cycles=0)
+            occupancy_meter(window=0)
+        with pytest.raises(InvalidWindow):
+            occupancy_meter(window=-5)
 
     def test_initial_occupancy_is_half_capacity(self):
         m = occupancy_meter()
@@ -153,7 +154,7 @@ class TestOccupancyMeter:
         # camera-style: occupancy above the set point is the unhealthy side
         m = occupancy_meter(direction=FILL, rate=8.0)
         m.occupancy = m.initial_occupancy + 0.5 * 8.0 * 100
-        assert m.npi(cycle=0, elapsed_cycles=100) == 0.5
+        assert m.npi(cycle=0) == 0.5
 
     def test_refill_completion_raises_occupancy(self):
         m = occupancy_meter()
@@ -172,10 +173,10 @@ class TestOccupancyMeter:
 # -- bandwidth meter ---------------------------------------------------------
 
 class TestBandwidthMeter:
-    def make(self, target=64.0):
+    def make(self, target=64.0, window=100):
         # clock 1 Hz, window 100 cycles
         return BandwidthMeter("wifi", target_bytes_per_s=target,
-                              clock_freq_hz=1.0, window_cycles=100)
+                              clock_freq_hz=1.0, window_cycles=window)
 
     def test_measured_equals_target_is_one(self):
         m = self.make(target=64.0)
@@ -192,9 +193,10 @@ class TestBandwidthMeter:
         assert m.npi(cycle=100) == NPI_MAX
 
     def test_zero_window_rejected(self):
-        m = self.make()
         with pytest.raises(InvalidWindow):
-            m.npi(cycle=100, elapsed_cycles=0)
+            self.make(window=0)
+        with pytest.raises(InvalidWindow):
+            self.make(window=-5)
 
     def test_startup_without_feedback_saturates(self):
         m = self.make()

@@ -37,7 +37,8 @@ class TestSink:
         sink.record_bytes("a", 10, 64)
         sink.record_bytes("a", 20, 64)
         sink.record_bytes("b", 15, 128)
-        assert sink.total_bytes == 256
+        assert sum(b for pairs in sink.bytes_by_dma.values()
+                   for _, b in pairs) == 256
         assert bytes_in_window(sink.bytes_by_dma["a"], 0, 15) == 64
 
 

@@ -143,8 +143,9 @@ def make_fabric(mode=PRIORITY, depth=8, cluster_depth=None):
 
 
 def resident(ctrl):
-    """Every transaction the controller holds, queue by queue."""
-    return [t for q in ctrl.queues for t in q]
+    """Every transaction the controller holds, group by group."""
+    return [t for groups in ctrl._groups.values()
+            for group in groups.values() for t in group.txns]
 
 
 def make_sink():
@@ -239,8 +240,7 @@ class TestFabric:
             for t in resident(ctrl):
                 if t.id not in before:
                     granted[t.source] += 1
-            ctrl.queues = [type(q)() for q in ctrl.queues]  # drain
-            ctrl.occupancy = 0
+            ctrl = make_sink()  # drain
         assert granted["a"] > granted["b"]
 
     def test_drained_names_each_leaf_that_lost_a_head(self):

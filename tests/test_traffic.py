@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sarasim.config import load_packaged_scenario
-from sarasim.core import READ, WRITE
+from sarasim.core import READ, TXN_SIZE_BYTES, WRITE
 from sarasim.meters import DRAIN, OccupancyMeter
 from sarasim.traffic import (BANDWIDTH_STREAM, BURSTY_FRAME, CONSTANT_RATE,
                              CREDIT_CAP_TXNS, LATENCY_PROBE, DmaSpec,
@@ -25,7 +25,7 @@ def make_dataflow_scenario(case: str):
 
 
 def make_gen(kind=CONSTANT_RATE, rate=89.0e6, seed=0, **kw):
-    spec = DmaSpec(dma_id="d", core="c", source_kind=kind,
+    spec = DmaSpec(dma_id="d", source_kind=kind,
                    rate_bytes_per_s=rate, **kw)
     return Generator(spec, np.random.default_rng(seed), CLOCK)
 
@@ -84,12 +84,12 @@ class TestSkippedPolls:
         rate = 1.1703e9
         meter = OccupancyMeter("d", 256.0, rate, CLOCK, direction=DRAIN)
         meter.occupancy = 240.0
-        spec = DmaSpec(dma_id="d", core="c", source_kind=CONSTANT_RATE,
+        spec = DmaSpec(dma_id="d", source_kind=CONSTANT_RATE,
                        rate_bytes_per_s=rate)
         gen = Generator(spec, np.random.default_rng(0), CLOCK,
                         occupancy_meter=meter)
         poll = 0
-        while gen.state.byte_credit < spec.size_bytes:
+        while gen.state.byte_credit < TXN_SIZE_BYTES:
             assert gen.next_requests(poll, 8) == []
             poll = gen.next_poll_after(poll)
         return gen, poll
@@ -145,7 +145,7 @@ class TestPollFrom:
     def test_matches_following_next_poll_after(self, case, gated, credit,
                                                wait, poll, span):
         kind, rate, state = BLOCKED_STATES[case]
-        spec = DmaSpec(dma_id="d", core="c", source_kind=kind,
+        spec = DmaSpec(dma_id="d", source_kind=kind,
                        rate_bytes_per_s=rate, frame_period_cycles=10_000,
                        frame_bytes=64 * 10)
         meter = None
@@ -154,7 +154,7 @@ class TestPollFrom:
                                    direction=DRAIN)
         gen = Generator(spec, np.random.default_rng(0), CLOCK,
                         occupancy_meter=meter)
-        size = spec.size_bytes
+        size = TXN_SIZE_BYTES
         gs = gen.state
         if state == "deficit":
             gs.byte_credit = credit * size * 0.999
