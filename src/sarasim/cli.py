@@ -93,11 +93,11 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     policies = [p for p in args.policies.split(",") if p]
+    if not policies:
+        raise ValidationError(f"--policies {args.policies!r} names no policy")
     for p in policies:
         if p not in POLICIES:
             raise ValidationError(f"unknown policy {p}")
-    if not policies:
-        return EXIT_OK
     reports = {}
     for policy in policies:  # deterministic order: as given
         reports[policy] = engine.run(with_policy(cfg, policy))

@@ -121,7 +121,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _check_text("name", self.name)
-        for key in ("seed", "duration_cycles"):  # duration 0: from frames
+        # a duration_cycles of 0 means one from duration_frames
+        for key in ("seed", "warmup_cycles", "duration_cycles"):
             if getattr(self, key) < 0:
                 raise ValidationError(f"{key} {getattr(self, key)} is negative")
         # these feed frame_period_cycles, which resolved_duration() needs

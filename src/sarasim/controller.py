@@ -190,8 +190,9 @@ class ControllerState:
                         or activated and group.done_at - at > hit_latency)
                     or w_start < group.done_at < w_end):
                 txn = group.txns[0]
-                at = group.issue_at = dram.earliest_issue(txn, now)
-                group.done_at = at + dram.latency[dram.classify(txn)]
+                cls = dram.classify(txn)
+                at = group.issue_at = dram.earliest_issue(txn, now, cls)
+                group.done_at = at + dram.latency[cls]
             if at == now:
                 out += group.txns
                 if group.done_at - at == hit_latency:

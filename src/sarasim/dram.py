@@ -18,7 +18,9 @@ precharge.  Refresh is not modeled.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import READ, TXN_SIZE_BYTES, Transaction
 
@@ -130,7 +132,8 @@ class BankState:
 
 
 class _ChannelBus:
-    """Non-overlapping future data windows, granted in any order."""
+    """Non-overlapping future data windows, granted in any order.  They are
+    kept sorted by start, and so, being disjoint, by end too."""
 
     __slots__ = ("windows", "burst")
 
@@ -139,30 +142,24 @@ class _ChannelBus:
         self.burst = burst
 
     def prune(self, now: int) -> None:
-        windows = self.windows
-        drop = 0
-        while drop < len(windows) and windows[drop][1] <= now:
-            drop += 1
-        if drop:
-            del windows[:drop]
+        del self.windows[:bisect_right(self.windows, now, key=itemgetter(1))]
 
     def earliest(self, completion: int) -> int:
         """Smallest legal completion cycle >= `completion`."""
-        start = completion - self.burst
-        for w0, w1 in self.windows:
-            if w0 >= start + self.burst:
-                break
-            if w1 > start:
-                start = w1
-        return start + self.burst
+        burst = self.burst
+        start = completion - burst
+        windows = self.windows
+        # only the windows ending after `start` can delay it: the last few
+        i = n = len(windows)
+        while i and windows[i - 1][1] > start:
+            i -= 1
+        while i < n and windows[i][0] < start + burst:
+            start = windows[i][1]
+            i += 1
+        return start + burst
 
     def reserve(self, completion: int) -> None:
-        start = completion - self.burst
-        windows = self.windows
-        i = len(windows)
-        while i > 0 and windows[i - 1][0] > start:
-            i -= 1
-        windows.insert(i, (start, completion))
+        insort(self.windows, (completion - self.burst, completion))
 
 
 class DramModel:
@@ -209,12 +206,15 @@ class DramModel:
         faw = acts[-4] + self.timing.tFAW if len(acts) >= 4 else 0
         return rrd, faw
 
-    def earliest_issue(self, txn: Transaction, now: int) -> int:
+    def earliest_issue(self, txn: Transaction, now: int,
+                       cls: int | None = None) -> int:
         """Exact earliest cycle >= now at which txn's sequence could start,
-        assuming no further commands are issued in between."""
+        assuming no further commands are issued in between.  `cls` is
+        `classify(txn)`, for a caller that has it already."""
         t = self.timing
         bank = self.banks[txn.channel][txn.rank][txn.bank]
-        cls = self.classify(txn)
+        if cls is None:
+            cls = self.classify(txn)
         if cls == ROW_HIT:
             ready = bank.earliest_read if txn.kind == READ else bank.earliest_write
         elif cls == BANK_CLOSED:
@@ -232,13 +232,13 @@ class DramModel:
 
     def issue(self, txn: Transaction, now: int) -> int:
         """Issue the full command sequence for txn; returns completion cycle."""
-        if self.earliest_issue(txn, now) != now:
+        cls = self.classify(txn)
+        if self.earliest_issue(txn, now, cls) != now:
             raise IllegalIssue(
                 f"txn {txn.id} not issuable at cycle {now} "
                 f"(ch{txn.channel} r{txn.rank} b{txn.bank} row {txn.row})")
         t = self.timing
         bank = self.banks[txn.channel][txn.rank][txn.bank]
-        cls = self.classify(txn)
         if cls == ROW_HIT:
             access = now
             self.row_hits += 1

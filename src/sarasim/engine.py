@@ -12,13 +12,16 @@ Fixed phase order inside one cycle:
 DMAs are always iterated in sorted id order so the result is independent of
 any incidental container ordering.
 
-A stepped cycle runs only the layers that can act on it.  Phase 2 runs only
-on an epoch, frame or aging boundary (`_boundary`, which `step` and
-`skip_idle` keep).  An epoch re-levels a DMA's leaf (`NocFabric.relevel`)
-only when the DMA's level changed, because every request in the leaf was
-made at, or re-levelled to, the old level.  Phase 4 calls
-`ControllerState.select` only for a channel whose `next_try` has come.  The
-NoC skips its own idle clusters and full-pool enqueues (see `noc`).
+A stepped cycle runs only the layers that can act on it.  Phase 1 and the
+poll loop of `skip_idle` run only when a poll is due: `_poll_due`, a lower
+bound on every DMA's next poll, is set by each pass of phase 1 and lowered
+by each wake below (parking only raises a poll).  Phase 2 runs only on an
+epoch, frame or aging boundary (`_boundary`, which `step` and `skip_idle`
+keep).  An epoch re-levels a DMA's leaf (`NocFabric.relevel`) only when
+the DMA's level changed, because every request in the leaf was made at, or
+re-levelled to, the old level.  Phase 4 calls `ControllerState.select` only
+for a channel whose `next_try` has come.  The NoC skips its own idle
+clusters and full-pool enqueues (see `noc`).
 
 A generator whose leaf queue is full is parked: it is not polled until the
 NoC takes a head from that leaf (`NocFabric.drained`).  Its polls in the
@@ -193,6 +196,7 @@ class World:
         self.completed = 0
         self.max_wait = 0
         self._next_poll = {d: 0 for d in self.dma_order}
+        self._poll_due = 0  # <= every _next_poll value; see the docstring
         # parked DMA -> its next poll, which would find the leaf full
         self._parked = {}
         # gate-parked DMA -> its next poll, which would find no buffer room
@@ -228,28 +232,31 @@ class World:
         now = self.cycle
         cfg = self.cfg
 
-        # phase 1: traffic generation; a DMA whose leaf is full is parked
-        # until the NoC drains the leaf, and one whose buffer has no room is
-        # gate-parked until a completion or an epoch
-        for dma in self.dma_order:
-            if now < self._next_poll[dma]:
-                continue
-            gen = self.generators[dma]
-            space = self.noc.leaf_space(dma)
-            if space > 0:
-                for txn in gen.next_requests(now, space, self.level[dma]):
-                    self.dram.decode_into(txn)
-                    self.noc.offer(dma, txn, now)
-                    self.generated += 1
-                    space -= 1
-            if space == 0:
-                self._parked[dma] = gen.next_poll_after(now)
-                self._next_poll[dma] = NEVER
-            elif gen.idle_poll():
-                self._gated[dma] = now + 1
-                self._next_poll[dma] = NEVER
-            else:
-                self._next_poll[dma] = gen.next_poll_after(now)
+        # phase 1, when a poll is due: traffic generation; a DMA whose leaf
+        # is full is parked until the NoC drains the leaf, and one whose
+        # buffer has no room is gate-parked until a completion or an epoch
+        if now >= self._poll_due:
+            next_poll = self._next_poll
+            for dma in self.dma_order:
+                if now < next_poll[dma]:
+                    continue
+                gen = self.generators[dma]
+                space = self.noc.leaf_space(dma)
+                if space > 0:
+                    for txn in gen.next_requests(now, space, self.level[dma]):
+                        self.dram.decode_into(txn)
+                        self.noc.offer(dma, txn, now)
+                        self.generated += 1
+                        space -= 1
+                if space == 0:
+                    self._parked[dma] = gen.next_poll_after(now)
+                    next_poll[dma] = NEVER
+                elif gen.idle_poll():
+                    self._gated[dma] = now + 1
+                    next_poll[dma] = NEVER
+                else:
+                    next_poll[dma] = gen.next_poll_after(now)
+            self._poll_due = min(next_poll.values())
 
         # phase 2, on an epoch, frame or aging boundary: meters, priorities,
         # aging
@@ -276,8 +283,9 @@ class World:
             for dma in drained:
                 poll = self._parked.pop(dma, None)
                 if poll is not None:
-                    self._next_poll[dma] = self.generators[dma].poll_from(
-                        poll, now + 1)
+                    poll = self.generators[dma].poll_from(poll, now + 1)
+                    self._next_poll[dma] = poll
+                    self._poll_due = min(self._poll_due, poll)
             drained.clear()
 
         # phase 4: scheduling + DRAM issue on each channel whose next_try
@@ -312,8 +320,9 @@ class World:
     def _wake(self, dma: str, now: int) -> None:
         """Resume a gate-parked DMA at `now + 1`, replaying the polls it
         missed: each found no room and only accrued credit."""
-        self._next_poll[dma] = self.generators[dma].skip_polls(
-            self._gated.pop(dma), now + 1)
+        poll = self.generators[dma].skip_polls(self._gated.pop(dma), now + 1)
+        self._next_poll[dma] = poll
+        self._poll_due = min(self._poll_due, poll)
 
     def skip_idle(self, end: int) -> None:
         """Advance `cycle` to the first cycle before `end` at which a
@@ -331,17 +340,18 @@ class World:
             target = min(target, self.inflight[0][0])
         if target <= now:
             return
-        for dma in self.dma_order:
-            poll = self._next_poll[dma]
-            if poll >= target:
-                continue
-            if self.generators[dma].idle_poll():
-                self._gated[dma] = poll
-                self._next_poll[dma] = NEVER
-            else:
-                target = poll
-                if target <= now:
-                    return
+        if self._poll_due < target:
+            for dma in self.dma_order:
+                poll = self._next_poll[dma]
+                if poll >= target:
+                    continue
+                if self.generators[dma].idle_poll():
+                    self._gated[dma] = poll
+                    self._next_poll[dma] = NEVER
+                else:
+                    target = poll
+                    if target <= now:
+                        return
         self.cycle = target
 
     def _next_boundary(self, now: int) -> int:

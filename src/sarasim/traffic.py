@@ -31,6 +31,7 @@ SOURCE_KINDS = (BURSTY_FRAME, CONSTANT_RATE, LATENCY_PROBE, BANDWIDTH_STREAM)
 CREDIT_KINDS = (CONSTANT_RATE, BANDWIDTH_STREAM)
 
 CREDIT_CAP_TXNS = 32
+_CREDIT_CAP = float(CREDIT_CAP_TXNS * TXN_SIZE_BYTES)  # a float, like the credit
 
 
 @dataclass
@@ -178,9 +179,8 @@ class Generator:
     def _accrue(self, now: int) -> None:
         st = self.state
         st.byte_credit += self.pace * (now - st.last_cycle)
-        cap = CREDIT_CAP_TXNS * TXN_SIZE_BYTES
-        if st.byte_credit > cap:
-            st.byte_credit = cap
+        if st.byte_credit > _CREDIT_CAP:
+            st.byte_credit = _CREDIT_CAP
         st.last_cycle = now
 
     def idle_poll(self) -> bool:
@@ -198,19 +198,24 @@ class Generator:
         """Replay the polls due from cycle `poll` up to `until` during
         which `idle_poll()` held, exactly as polling at each due cycle
         would; returns the first poll cycle at or after `until`."""
+        if poll >= until:
+            return poll
         st = self.state
-        cap = CREDIT_CAP_TXNS * TXN_SIZE_BYTES
-        while poll < until:
-            if st.byte_credit >= cap:
-                # a capped credit stays capped: later polls only move
-                # last_cycle
-                st.last_cycle = until - 1
-                return until
-            # earned credit keeps next_action_cycle at the poll itself, so
-            # a blocked stream is polled every cycle
+        cap = _CREDIT_CAP
+        if st.byte_credit < cap:  # a capped credit stays capped
             self._accrue(poll)
-            poll += 1
-        return poll
+            # earned credit keeps next_action_cycle at the poll itself, so
+            # each later poll is one cycle after the last: pace * 1 == pace
+            credit, pace = st.byte_credit, self.pace
+            for _ in range(until - poll - 1):
+                if credit >= cap:
+                    break
+                credit += pace
+                if credit > cap:
+                    credit = cap
+            st.byte_credit = credit
+        st.last_cycle = until - 1
+        return until
 
     def poll_from(self, poll: int, cycle: int) -> int:
         """First cycle at or after `cycle` in the poll sequence `poll`,

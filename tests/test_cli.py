@@ -311,3 +311,29 @@ def test_malformed_frequency_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "abc" in err and "runtime error" not in err
+
+
+def test_negative_warmup_is_config_error(tmp_path, capsys):
+    # the summary window would start before cycle 0, and every mean
+    # bandwidth would be divided by cycles that never ran
+    text = open(CASE_B, encoding="utf-8").read()
+    assert "warmup_cycles = 12000" in text
+    path = tmp_path / "case_b.cfg"
+    path.write_text(text.replace("warmup_cycles = 12000",
+                                 "warmup_cycles = -5000"))
+    out = tmp_path / "out"
+    rc = main(["run", "-c", str(path), "--duration", "3000", "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "warmup_cycles" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policies", [",", ""])
+def test_empty_policy_list_is_config_error(tmp_path, capsys, policies):
+    out = tmp_path / "cmp"
+    rc = main(["compare", "-c", CASE_B, "--duration", "3000",
+               "--policies", policies, "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "--policies" in capsys.readouterr().err
+    assert not out.exists()

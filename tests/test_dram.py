@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sarasim.core import READ, WRITE, Transaction
 from sarasim.dram import (BANK_CLOSED, ROW_HIT, ROW_MISS, AddressMap,
                           DramModel, DramTimingConfig, IllegalIssue,
-                          service_latency)
+                          _ChannelBus, service_latency)
 
 
 def timing(**kw):
@@ -149,6 +149,44 @@ class TestIssue:
         at = m.earliest_issue(nxt, 0)
         done0 = 34 + 36 + 8
         assert m.issue(nxt, at) == done0 + 8  # burst windows abut
+
+
+# -- channel data bus --------------------------------------------------------
+
+def scanned_earliest(windows, burst, completion):
+    """Reference for _ChannelBus.earliest: walk every window from the head
+    of the list."""
+    start = completion - burst
+    for w0, w1 in windows:
+        if w0 >= start + burst:
+            break
+        if w1 > start:
+            start = w1
+    return start + burst
+
+
+class TestChannelBus:
+    @given(burst=st.integers(1, 16),
+           gaps=st.lists(st.integers(0, 40), max_size=12),
+           order=st.randoms(use_true_random=False),
+           completions=st.lists(st.integers(-20, 700), min_size=1,
+                                max_size=10),
+           now=st.integers(-5, 700))
+    def test_matches_a_scan_from_the_head(self, burst, gaps, order,
+                                          completions, now):
+        # sorted, disjoint windows of one burst each, granted in any order
+        windows, end = [], 0
+        for gap in gaps:
+            windows.append((end + gap, end + gap + burst))
+            end += gap + burst
+        bus = _ChannelBus(burst)
+        for w in order.sample(windows, len(windows)):
+            bus.reserve(w[1])
+        assert bus.windows == windows
+        for c in completions:
+            assert bus.earliest(c) == scanned_earliest(windows, burst, c)
+        bus.prune(now)
+        assert bus.windows == [w for w in windows if w[1] > now]
 
 
 # -- address map -------------------------------------------------------------

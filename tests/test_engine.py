@@ -283,6 +283,20 @@ class TestParkedGenerators:
                 == outcome(world.report()))
 
 
+class TestPollDue:
+    """`World._poll_due` lets phase 1 and skip_idle's poll loop pass over
+    the DMAs when no poll is due, so it must never exceed the earliest
+    next poll."""
+
+    @pytest.mark.parametrize("case", ["A", "B", "sweep"])
+    def test_bound_holds_after_every_stepped_cycle(self, case):
+        world = engine.World(load_packaged_scenario(case))
+        while world.cycle < 30_000:  # engine.run's loop
+            world.step()
+            assert world._poll_due <= min(world._next_poll.values())
+            world.skip_idle(30_000)
+
+
 OCCUPANCY = """
 name = occupancy
 seed = 3

@@ -111,6 +111,33 @@ class TestSkippedPolls:
         capped = ref.state.byte_credit == CREDIT_CAP_TXNS * 64
         assert capped == (until_offset == 5_000)
 
+    @given(rate=st.floats(1.0e6, 5.0e9), credit=st.floats(64.0, 2048.0),
+           gap=st.integers(1, 500), span=st.integers(0, 3_000))
+    def test_replay_matches_polling_bit_for_bit(self, rate, credit, gap,
+                                                span):
+        # the last poll was `gap` cycles before the first missed one, and
+        # the credit may reach the cap within `span`
+        def blocked():
+            meter = OccupancyMeter("d", 256.0, rate, CLOCK, direction=DRAIN)
+            meter.occupancy = 240.0
+            spec = DmaSpec(dma_id="d", source_kind=CONSTANT_RATE,
+                           rate_bytes_per_s=rate)
+            gen = Generator(spec, np.random.default_rng(0), CLOCK,
+                            occupancy_meter=meter)
+            gen.state.byte_credit, gen.state.last_cycle = credit, 1_000
+            return gen
+        ref, fast = blocked(), blocked()
+        poll = 1_000 + gap
+        until = poll + span
+        assert fast.idle_poll()
+        next_poll = fast.skip_polls(poll, until)
+        while poll < until:
+            assert ref.next_requests(poll, 8) == []
+            poll = ref.next_poll_after(poll)
+        assert next_poll == poll
+        assert repr(fast.state.byte_credit) == repr(ref.state.byte_credit)
+        assert fast.state.last_cycle == ref.state.last_cycle
+
 
 def polled_from(gen, poll, cycle):
     """Reference for Generator.poll_from: follow next_poll_after."""
