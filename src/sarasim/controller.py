@@ -18,9 +18,11 @@ active only under QOS and QOS_RB.  `POLICY` describes each policy once, as
 one `Policy` record that the engine, the NoC and this controller all read.
 
 Ready set.  The transactions held for a channel sit in groups keyed by
-(rank, bank, row, kind), oldest first, as in the per-bank queues of FR-FCFS
-controllers (Rixner et al., ISCA 2000).  The groups are the controller's
-only store of held transactions; each of the five queues keeps only a count
+(rank, bank, row, kind), in arrival order (`t_enqueued`, then `seq`), as in
+the per-bank queues of FR-FCFS controllers (Rixner et al., ISCA 2000).
+`enqueue` appends, and inserts in order only when given an earlier cycle
+than its group's newest transaction.  The groups are the controller's only
+store of held transactions; each of the five queues keeps only a count
 (`held`), which the static split reads.  `DramModel.earliest_issue` and the
 end of the data burst behind it depend only on that key, the DRAM state and
 `now`, so each group caches one result (`issue_at`) and one burst end
@@ -42,8 +44,10 @@ most one sequence is issued on a channel between two scans: an issue resets
 Row class.  A group is a row hit when its `done_at - issue_at` is the hit
 latency; the three classes have distinct latencies.  The cached class is
 exact under the rule above, because only an issue to the same bank changes
-its open row.  `_ready` returns the ready row hits with the ready set, and
-the select rules read them instead of classifying each transaction.
+its open row.  `_ready` returns the ready groups and the ready row-hit
+groups, and the select rules read them: the oldest transaction of a set of
+groups is the oldest of their heads, and only the rules that look at each
+transaction (RR, QOS, FRAME_QOS and QOS_RB's checks) walk all of them.
 
 `next_try`.  A scan that finds nothing ready sets `next_try` to the
 earliest cached issue cycle of the channel.  An enqueue resets it only when
@@ -53,12 +57,13 @@ the group's issue cycle, which `next_try` already counts.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
 from . import noc
-from .core import Transaction, age_queues, next_in_turn
+from .core import PRIORITY_LEVELS, Transaction, age_queues, next_in_turn
 from .dram import NEVER, ROW_HIT, DramModel
 
 QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
@@ -69,8 +74,15 @@ def _arrival_key(txn: Transaction):
     return (txn.t_enqueued, txn.seq)
 
 
-def _oldest(txns) -> Transaction:
-    return min(txns, key=_arrival_key)
+def _oldest(groups) -> Transaction:
+    """The oldest transaction of `groups`: the oldest of their heads."""
+    best = None
+    for group in groups:
+        txn = group.txns[0]
+        if best is None or txn.t_enqueued < best.t_enqueued or (
+                txn.t_enqueued == best.t_enqueued and txn.seq < best.seq):
+            best = txn
+    return best
 
 
 class _Group:
@@ -95,8 +107,8 @@ class Policy:
     # media DMAs ride at the top priority level and every other DMA at the
     # base level, and from the first epoch on the media DMAs are boosted
     media_first: bool
-    # ControllerState select rule, called on a non-empty ready set as
-    # select(controller, ready, its row hits, boosted DMAs)
+    # ControllerState select rule, called on the non-empty ready groups as
+    # select(controller, ready groups, their row hits, boosted DMAs)
     select: Callable
 
 
@@ -151,7 +163,10 @@ class ControllerState:
             # next_try already counts
             group = groups[key] = _Group()
             self.next_try[txn.channel] = 0
-        group.txns.append(txn)
+        if group.txns and now < group.txns[-1].t_enqueued:
+            insort(group.txns, txn, key=_arrival_key)
+        else:
+            group.txns.append(txn)
         self.held[qi] += 1
         self.occupancy += 1
         return True
@@ -166,9 +181,9 @@ class ControllerState:
     # -- scheduling --------------------------------------------------------
 
     def _ready(self, dram: DramModel, channel: int, now: int) -> tuple:
-        """(issuable txns, the row hits among them, earliest future cycle
-        any txn could become ready), recomputing only the groups the module
-        docstring names."""
+        """(groups issuable at `now`, the row hits among them, earliest
+        future cycle any group could become ready), recomputing only the
+        groups the module docstring names."""
         issued, rank, bank, activated, w_start, w_end = dram.last_issue[channel]
         last = self._scanned.get(channel)
         self._scanned[channel] = (dram, issued, now)
@@ -194,53 +209,70 @@ class ControllerState:
                 at = group.issue_at = dram.earliest_issue(txn, now, cls)
                 group.done_at = at + dram.latency[cls]
             if at == now:
-                out += group.txns
+                out.append(group)
                 if group.done_at - at == hit_latency:
-                    hits += group.txns
+                    hits.append(group)
             elif at < horizon:
                 horizon = at
         return out, hits, horizon
 
-    # select rules, one per policy: (ready set, its row hits, boosted DMAs)
-    # -> the transaction to issue
+    # select rules, one per policy: (ready groups, their row hits, boosted
+    # DMAs) -> the transaction to issue
 
     def _first_come(self, ready, hits, boosted) -> Transaction:
         return _oldest(ready)
 
+    def _priority_round_robin(self, ready, hits, boosted,
+                              ranked=True) -> Transaction:
+        """Policy 1: aged first, then the highest priority, round-robin
+        over the queues among those, oldest first within a queue.  Unless
+        `ranked` every transaction ranks the same (RR)."""
+        ranks, picks = [-1] * NUM_QUEUES, [None] * NUM_QUEUES
+        for group in ready:
+            for txn in group.txns:
+                rank = ((PRIORITY_LEVELS if txn.aged else txn.priority)
+                        if ranked else 0)
+                qi = txn.queue
+                if rank > ranks[qi]:
+                    ranks[qi], picks[qi] = rank, txn
+                elif rank == ranks[qi]:
+                    pick = picks[qi]
+                    if txn.t_enqueued < pick.t_enqueued or (
+                            txn.t_enqueued == pick.t_enqueued
+                            and txn.seq < pick.seq):
+                        picks[qi] = txn
+        top = max(ranks)
+        self.rr_pointer = next_in_turn(
+            [qi for qi, rank in enumerate(ranks) if rank == top],
+            self.rr_pointer)
+        return picks[self.rr_pointer]
+
     def _round_robin(self, ready, hits, boosted) -> Transaction:
         """Oldest ready transaction of the first queue in turn after
         rr_pointer."""
-        oldest = {}
-        for t in ready:
-            prev = oldest.get(t.queue)
-            if prev is None or _arrival_key(t) < _arrival_key(prev):
-                oldest[t.queue] = t
-        self.rr_pointer = next_in_turn(sorted(oldest), self.rr_pointer)
-        return oldest[self.rr_pointer]
+        return self._priority_round_robin(ready, hits, boosted, False)
 
     def _boosted_first(self, ready, hits, boosted) -> Transaction:
-        return _oldest([t for t in ready if t.source in boosted] or ready)
+        mine = [t for g in ready for t in g.txns if t.source in boosted]
+        return min(mine, key=_arrival_key) if mine else _oldest(ready)
 
     def _row_hits_first(self, ready, hits, boosted) -> Transaction:
         return _oldest(hits or ready)
 
-    def _priority_round_robin(self, ready, hits, boosted) -> Transaction:
-        """Policy 1: aged first, then the highest priority, round-robin
-        over the queues among those."""
-        aged = [t for t in ready if t.aged]
-        if aged:
-            candidates = aged
-        else:
-            maxp = max(t.priority for t in ready)
-            candidates = [t for t in ready if t.priority == maxp]
-        return self._round_robin(candidates, hits, boosted)
-
     def _row_buffer_aware(self, ready, hits, boosted) -> Transaction:
         """Policy 2: the oldest row hit while nothing is aged and nobody is
         above delta (or everyone is at one level), else policy 1."""
-        if hits and not any(t.aged for t in ready):
-            prios = {t.priority for t in ready}
-            if len(prios) == 1 or max(prios) < self.delta:
+        if hits:
+            low = high = ready[0].txns[0].priority
+            for group in ready:
+                for txn in group.txns:
+                    if txn.aged:
+                        return self._priority_round_robin(ready, hits, boosted)
+                    if txn.priority > high:
+                        high = txn.priority
+                    elif txn.priority < low:
+                        low = txn.priority
+            if low == high or high < self.delta:
                 return _oldest(hits)
         return self._priority_round_robin(ready, hits, boosted)
 
@@ -271,9 +303,11 @@ class ControllerState:
     def next_activity(self) -> int:
         """Earliest cycle at which `select` could issue, or NEVER: the
         `next_try` of every channel that holds a transaction."""
-        return min((self.next_try[ch]
-                    for ch, groups in self._groups.items() if groups),
-                   default=NEVER)
+        at = NEVER
+        for ch, groups in self._groups.items():
+            if groups and self.next_try[ch] < at:
+                at = self.next_try[ch]
+        return at
 
 
 _C = ControllerState  # the select rules are its methods

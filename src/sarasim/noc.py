@@ -12,10 +12,10 @@ Arbitration modes: "priority" (aged flag first, then priority level,
 round-robin tie-break), "fcfs" (oldest head by creation time) and "rr"
 (priority-blind round-robin).
 
-Memo.  Each node keeps the ports `keep` last kept for it (under FCFS its
-one winner) and the cycle it built them, and rebuilds them only once its
-`stale_from` cycle has passed that build.  Given the one-cycle hop, the
-heads a node may grant change only when
+Memo.  Each node keeps the ports it last kept (under FCFS its one winner)
+and the cycle it built them, and rebuilds them in one pass over its ports
+(`_rebuild`) only once its `stale_from` cycle has passed that build.  Given
+the one-cycle hop, the heads a node may grant change only when
 - a head enters an empty queue the node reads: a leaf (its cluster, or
   every root for a direct DMA) or a cluster output (every root); stale
   from the next cycle;
@@ -45,28 +45,6 @@ PRIORITY = "priority"
 FCFS = "fcfs"
 ROUND_ROBIN = "rr"
 MODES = (PRIORITY, FCFS, ROUND_ROBIN)
-
-
-def keep(ports, eligible, mode: str) -> list:
-    """The ports that may win among `eligible`, the ascending indices of
-    the `ports` whose head may be granted.
-
-    FCFS keeps the oldest head (lowest index on a tie), PRIORITY the ports
-    whose head ranks highest by (aged, priority) and RR them all.
-    """
-    if not eligible or mode == ROUND_ROBIN:
-        return eligible
-    if mode == FCFS:
-        return [min(eligible, key=lambda i: ports[i][0].t_created)]
-    kept, best = [], -1
-    for i in eligible:
-        head = ports[i][0]
-        rank = head.priority + PRIORITY_LEVELS * head.aged
-        if rank > best:
-            kept, best = [i], rank
-        elif rank == best:
-            kept.append(i)
-    return kept
 
 
 class ArbiterNode:
@@ -105,12 +83,7 @@ class ArbiterNode:
         before `now`, or None, and move `rr_pointer` to it unless the mode
         is FCFS.  Does not move the txn."""
         if self.built < self.stale_from:
-            ch = self.channel
-            self.kept = keep(self.ports, [
-                i for i, q in enumerate(self.ports)
-                if q and q[0].t_hop < now and (ch is None or q[0].channel == ch)
-            ], self.mode)
-            self.built = now
+            self._rebuild(now)
         kept = self.kept
         if not kept:
             return None
@@ -118,6 +91,28 @@ class ArbiterNode:
         if self.mode != FCFS:
             self.rr_pointer = win
         return win
+
+    def _rebuild(self, now: int) -> None:
+        """In one pass over the ports, keep those whose head entered before
+        `now`, is bound for this node's channel and ranks highest in the
+        node's mode; under FCFS only the first oldest."""
+        ch, mode = self.channel, self.mode
+        kept, best = [], -NEVER
+        for i, q in enumerate(self.ports):
+            if q:
+                head = q[0]
+                if head.t_hop < now and (ch is None or head.channel == ch):
+                    if mode == PRIORITY:
+                        rank = head.priority + PRIORITY_LEVELS * head.aged
+                    elif mode == FCFS:
+                        rank = -head.t_created
+                    else:
+                        rank = 0
+                    if rank > best:
+                        kept, best = [i], rank
+                    elif rank == best and mode != FCFS:
+                        kept.append(i)
+        self.kept, self.built = kept, now
 
     def grant(self, port: int) -> Transaction:
         self.built = -1

@@ -8,10 +8,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarasim.controller import (NUM_QUEUES, POLICIES, QUEUE_NAMES,
                                 ControllerState, group_key)
-from sarasim.core import READ, WRITE, Transaction
+from sarasim.core import READ, WRITE, Transaction, next_in_turn
 from sarasim.dram import NEVER, ROW_HIT, DramModel, DramTimingConfig
 
 
@@ -35,9 +36,15 @@ def make_txn(m, id, queue=0, priority=0, bank=0, row=0, column=0,
 
 def select_from(ctrl, ready, dram, boosted=frozenset()):
     """The oracle entry to ctrl's select rule: the rule's choice among
-    `ready`, with each row hit found by classifying it against `dram`."""
-    hits = [t for t in ready if dram.classify(t) == ROW_HIT]
-    return ctrl.policy.select(ctrl, list(ready), hits, boosted)
+    `ready`, a union of the groups that ctrl's `enqueue` built, with each
+    group's row class found by classifying its head against `dram`."""
+    chosen = {id(t) for t in ready}
+    groups = [group for groups in ctrl._groups.values()
+              for group in groups.values()
+              if any(id(t) in chosen for t in group.txns)]
+    assert sorted(id(t) for g in groups for t in g.txns) == sorted(chosen)
+    hits = [g for g in groups if dram.classify(g.txns[0]) == ROW_HIT]
+    return ctrl.policy.select(ctrl, groups, hits, boosted)
 
 
 # -- admission ---------------------------------------------------------------
@@ -150,6 +157,9 @@ def reference_policy2(ctrl, dram, ready):
 
 
 def random_state(rng, policy):
+    """A controller holding 1 to 8 ready transactions in at most 12 groups
+    (half of the states have a group of several), enqueued at cycles that
+    run back and forth in `seq`, so enqueue inserts in order."""
     dram = DramModel(DramTimingConfig())
     ctrl = make_controller(policy=policy, delta=int(rng.integers(1, 8)))
     ctrl.rr_pointer = int(rng.integers(NUM_QUEUES))
@@ -188,6 +198,96 @@ class TestOracleEquivalence:
             expect = reference_policy2(ctrl, dram, ready)
             got = select_from(ctrl, ready, dram)
             assert got is expect
+
+
+# -- the transaction-list select rules that the group rules replaced ---------
+
+def oldest(txns):
+    return min(txns, key=lambda t: (t.t_enqueued, t.seq))
+
+
+def list_round_robin(ctrl, ready):
+    oldest_of = {}
+    for t in ready:
+        prev = oldest_of.get(t.queue)
+        if prev is None or (t.t_enqueued, t.seq) < (prev.t_enqueued, prev.seq):
+            oldest_of[t.queue] = t
+    ctrl.rr_pointer = next_in_turn(sorted(oldest_of), ctrl.rr_pointer)
+    return oldest_of[ctrl.rr_pointer]
+
+
+def list_priority_round_robin(ctrl, ready):
+    aged = [t for t in ready if t.aged]
+    if aged:
+        return list_round_robin(ctrl, aged)
+    top = max(t.priority for t in ready)
+    return list_round_robin(ctrl, [t for t in ready if t.priority == top])
+
+
+def list_row_buffer_aware(ctrl, ready, hits):
+    if hits and not any(t.aged for t in ready):
+        prios = {t.priority for t in ready}
+        if len(prios) == 1 or max(prios) < ctrl.delta:
+            return oldest(hits)
+    return list_priority_round_robin(ctrl, ready)
+
+
+LIST_RULES = {  # policy -> rule(ctrl, ready, hits, boosted)
+    "FCFS": lambda c, ready, hits, boosted: oldest(ready),
+    "RR": lambda c, ready, hits, boosted: list_round_robin(c, ready),
+    "FRAME_QOS": lambda c, ready, hits, boosted: oldest(
+        [t for t in ready if t.source in boosted] or ready),
+    "QOS": lambda c, ready, hits, boosted: list_priority_round_robin(
+        c, ready),
+    "QOS_RB": lambda c, ready, hits, boosted: list_row_buffer_aware(
+        c, ready, hits),
+    "FR_FCFS": lambda c, ready, hits, boosted: oldest(hits or ready),
+}
+
+ENQUEUE = st.tuples(st.just("enqueue"), st.integers(0, 2),  # bank
+                    st.integers(0, 2), st.integers(0, NUM_QUEUES - 1),
+                    st.integers(0, 7), st.booleans(),  # priority, aged
+                    st.integers(-30, 5))  # enqueue cycle - now
+SELECT = st.tuples(st.just("select"), st.integers(0, 60))  # cycles to wait
+
+
+class TestGroupRules:
+    """Each group stays in arrival order under enqueues at any cycle, and
+    every select rule, reading the ready groups, chooses what the
+    transaction-list rule chooses on the same ready transactions."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.one_of(ENQUEUE, SELECT), min_size=1, max_size=50),
+           pointer=st.integers(0, NUM_QUEUES - 1))
+    def test_groups_in_arrival_order_and_list_rule_choice(self, policy, ops,
+                                                          pointer):
+        dram, ctrl = model(), make_controller(policy=policy, delta=4)
+        ctrl.rr_pointer = pointer
+        boosted = frozenset({"media", "gpu"})
+        now = 100
+        for i, op in enumerate(ops):
+            if op[0] == "enqueue":
+                _, bank, row, queue, priority, aged, at = op
+                ctrl.enqueue(make_txn(dram, i, queue, priority, bank, row,
+                                      aged=aged), now + at)
+            else:
+                now += op[1]
+                held = resident(ctrl)
+                ready = [t for t in held if dram.earliest_issue(t, now) == now]
+                hits = [t for t in ready if dram.classify(t) == ROW_HIT]
+                rr = ctrl.rr_pointer
+                expect = (LIST_RULES[policy](ctrl, ready, hits, boosted)
+                          if ready else None)
+                rr, ctrl.rr_pointer = ctrl.rr_pointer, rr
+                got = ctrl.select(dram, 0, now, boosted)
+                assert got is expect and ctrl.rr_pointer == rr
+                if got is not None:
+                    dram.issue(got, now)
+            for groups in ctrl._groups.values():
+                for group in groups.values():
+                    arrival = [(t.t_enqueued, t.seq) for t in group.txns]
+                    assert arrival == sorted(arrival)
 
 
 # -- pairwise policy-text examples -------------------------------------------

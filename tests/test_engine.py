@@ -6,12 +6,15 @@ import hashlib
 
 import pytest
 
-from sarasim import engine, metrics
+from sarasim import engine, metrics, traffic
 from sarasim.cli import write_npi_csv, write_summary_csv
-from sarasim.config import load_packaged_scenario, parse_config, with_policy
+from sarasim.config import (emit_config, load_packaged_scenario, parse_config,
+                            with_policy)
 from sarasim.controller import QUEUE_NAMES
 from sarasim.dram import NEVER
-from sarasim.noc import NocFabric, keep
+from sarasim.noc import NocFabric
+
+from test_noc import keep
 
 MINI = """
 name = mini
@@ -375,9 +378,11 @@ class TestGateParking:
     def test_run_ending_while_gate_parked(self):
         cfg = parse_config(OCCUPANCY)
         world = engine.World(cfg)
-        while not (world.cycle > 10_000 and world._gated):
+        while world.cycle < 20_000 and not (world.cycle > 10_000
+                                            and world._gated):
             world.step()
             world.skip_idle(20_000)
+        assert world._gated, "no stream gate-parked after cycle 10,000"
         end = world.cycle
         assert (outcome(engine.run(cfg, duration_cycles=end))
                 == outcome(stepped(cfg, end, UngatedWorld)))
@@ -591,3 +596,54 @@ class TestStaticSplit:
         assert (hashlib.sha256(npi.read_bytes()).hexdigest(),
                 hashlib.sha256(summary.read_bytes()).hexdigest()
                 ) == STATIC_SPLIT_DIGESTS[case, policy]
+
+
+# a DMA that never emits, for case B; {queue} and {cluster} place it
+IDLE_DMA = """
+[dma aux]
+core = aux
+queue = {queue}
+cluster = {cluster}
+kind = bandwidth_stream
+meter = bandwidth
+rate_mbps = 0.0
+region_base_kb = 40960
+region_len_kb = 64
+"""
+
+
+def streams(monkeypatch, cfg, cycles):
+    """Each DMA's generated (kind, address) stream in a run of `cycles`."""
+    out = {}
+    make = traffic.Generator.next_requests
+
+    def recording(gen, now, space, priority=0):
+        txns = make(gen, now, space, priority)
+        out.setdefault(gen.spec.dma_id, []).extend(
+            (t.kind, t.address) for t in txns)
+        return txns
+    monkeypatch.setattr(traffic.Generator, "next_requests", recording)
+    engine.run(cfg, duration_cycles=cycles)
+    monkeypatch.undo()
+    return out
+
+
+class TestIdleDmaIndependence:
+    """RNG streams are keyed by (seed, DMA id), so adding a DMA that never
+    emits leaves every other DMA's (kind, address) stream unchanged, up to
+    the length each run reaches, wherever the new DMA sits in the NoC."""
+
+    @pytest.mark.parametrize("queue,cluster", [
+        ("system", "direct"), ("system", "system"), ("media", "media")])
+    def test_other_streams_keep_their_prefix(self, monkeypatch, queue,
+                                             cluster):
+        cfg = load_packaged_scenario("B")
+        base = streams(monkeypatch, cfg, 40_000)
+        grown = streams(monkeypatch, parse_config(
+            emit_config(cfg) + IDLE_DMA.format(queue=queue, cluster=cluster)),
+            40_000)
+        assert not grown.pop("aux", []) and set(grown) == set(base)
+        for dma, stream in base.items():
+            n = min(len(stream), len(grown[dma]))
+            assert n > 0, dma
+            assert grown[dma][:n] == stream[:n], dma

@@ -5,10 +5,33 @@ import numpy as np
 import pytest
 
 from sarasim.controller import ControllerState, QUEUE_NAMES
-from sarasim.core import READ, Transaction, next_in_turn
+from sarasim.core import PRIORITY_LEVELS, READ, Transaction, next_in_turn
 from sarasim.dram import DramModel, DramTimingConfig
 from sarasim.noc import (FCFS, MODES, PRIORITY, ROUND_ROBIN, ArbiterNode,
-                         NocFabric, keep)
+                         NocFabric)
+
+
+def keep(ports, eligible, mode: str) -> list:
+    """The oracle of an arbiter's rebuild: the ports that may win among
+    `eligible`, the ascending indices of the `ports` whose head may be
+    granted.
+
+    FCFS keeps the oldest head (lowest index on a tie), PRIORITY the ports
+    whose head ranks highest by (aged, priority) and RR them all.
+    """
+    if not eligible or mode == ROUND_ROBIN:
+        return eligible
+    if mode == FCFS:
+        return [min(eligible, key=lambda i: ports[i][0].t_created)]
+    kept, best = [], -1
+    for i in eligible:
+        head = ports[i][0]
+        rank = head.priority + PRIORITY_LEVELS * head.aged
+        if rank > best:
+            kept, best = [i], rank
+        elif rank == best:
+            kept.append(i)
+    return kept
 
 
 def make_txn(id, priority=0, created=0, channel=0, aged=False, source="a"):
@@ -106,32 +129,40 @@ def pick(ports, eligible, rr_pointer, mode):
 
 
 class TestPick:
-    """keep then next_in_turn, and ArbiterNode.arbitrate, against the
-    modular-loop rule."""
+    """keep then next_in_turn, and ArbiterNode.arbitrate with the ports its
+    one-pass rebuild keeps, against the modular-loop rule, for a cluster
+    node (channel None) and a root bound for channel 1."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_modular_loop_rule(self, mode):
-        rng = np.random.default_rng(MODES.index(mode))
-        for _ in range(5_000):
-            n = int(rng.integers(1, 9))
-            node = ArbiterNode("n", n, mode=mode)
-            node.rr_pointer = int(rng.integers(n))
-            for port in range(n):
-                if rng.random() < 0.7:
-                    node.offer(port, make_txn(
-                        port, priority=int(rng.integers(3)) * 3,
-                        created=int(rng.integers(4)),
-                        aged=rng.random() < 0.15), int(rng.integers(2)))
-            eligible = [i for i, q in enumerate(node.ports)
-                        if q and q[0].t_hop < 2]
-            if not eligible:
-                assert node.arbitrate(2) is None
-                continue
-            expect = modular_loop_rule(node.ports, eligible, node.rr_pointer,
-                                       mode)
-            assert pick(node.ports, eligible, node.rr_pointer,
-                        mode) == expect[0]
-            assert (node.arbitrate(2), node.rr_pointer) == expect
+        for channel in (None, 1):
+            rng = np.random.default_rng(MODES.index(mode))
+            for _ in range(5_000):
+                self.check_one(rng, mode, channel)
+
+    @staticmethod
+    def check_one(rng, mode, channel):
+        n = int(rng.integers(1, 9))
+        node = ArbiterNode("n", n, mode=mode, channel=channel)
+        node.rr_pointer = int(rng.integers(n))
+        for port in range(n):
+            if rng.random() < 0.7:
+                node.offer(port, make_txn(
+                    port, priority=int(rng.integers(3)) * 3,
+                    created=int(rng.integers(4)),
+                    channel=int(rng.integers(2)),
+                    aged=rng.random() < 0.15), int(rng.integers(2)))
+        eligible = [i for i, q in enumerate(node.ports)
+                    if q and q[0].t_hop < 2
+                    and channel in (None, q[0].channel)]
+        if not eligible:
+            assert node.arbitrate(2) is None and node.kept == []
+            return
+        expect = modular_loop_rule(node.ports, eligible, node.rr_pointer,
+                                   mode)
+        assert pick(node.ports, eligible, node.rr_pointer, mode) == expect[0]
+        assert (node.arbitrate(2), node.rr_pointer) == expect
+        assert node.kept == keep(node.ports, eligible, mode)
 
 
 # -- fabric ------------------------------------------------------------------
