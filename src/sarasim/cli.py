@@ -98,6 +98,8 @@ def cmd_compare(args) -> int:
     for p in policies:
         if p not in POLICIES:
             raise ValidationError(f"unknown policy {p}")
+        if policies.count(p) > 1:
+            raise ValidationError(f"--policies names {p} more than once")
     reports = {}
     for policy in policies:  # deterministic order: as given
         reports[policy] = engine.run(with_policy(cfg, policy))
@@ -122,7 +124,10 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError(
             f"bad --frequencies {args.frequencies!r}") from None
-    # with_frequency rejects a non-positive frequency before any run starts
+    if not freqs:
+        raise ValidationError(
+            f"--frequencies {args.frequencies!r} names no frequency")
+    # with_frequency rejects a bad frequency before any run starts
     runs = [with_frequency(cfg, freq) for freq in freqs]
     dma = args.dma
     if dma not in {e.dma_id for e in cfg.dmas}:

@@ -407,8 +407,9 @@ def with_policy(cfg: ScenarioConfig, policy: str) -> ScenarioConfig:
 
 
 def with_frequency(cfg: ScenarioConfig, io_freq_mhz: float) -> ScenarioConfig:
-    if io_freq_mhz <= 0:
-        raise ValidationError("frequency must be positive")
+    if not 0 < io_freq_mhz < math.inf:
+        raise ValidationError(
+            f"frequency must be finite and positive, not {io_freq_mhz}")
     clone = dataclasses.replace(cfg, dram=dataclasses.replace(cfg.dram),
                                 dmas=list(cfg.dmas))
     clone.io_freq_mhz = io_freq_mhz

@@ -24,30 +24,19 @@ the per-bank queues of FR-FCFS controllers (Rixner et al., ISCA 2000).
 than its group's newest transaction.  The groups are the controller's only
 store of held transactions; each of the five queues keeps only a count
 (`held`), which the static split reads.  `DramModel.earliest_issue` and the
-end of the data burst behind it depend only on that key, the DRAM state and
-`now`, so each group caches one result (`issue_at`) and one burst end
-(`done_at`) for all its transactions.  A scan of a channel recomputes a
-group only when it is new (`issue_at` is -1), when its cached cycle is
-earlier than `now` (it was ready but lost), or when the sequence issued
-since the last scan used its rank and bank, activated a row in its rank
-while the group needs an activate too (tRRD/tFAW), or has a data window
-overlapping the cached one.  It recomputes every group of the channel when
-more than one sequence was issued since the last scan, on another
-DramModel, or when the scan is at an earlier cycle than the last.  Every
-other cached value is exact: a new command only removes legal start cycles,
-and `_ChannelBus.prune` drops only windows that end by `now`, so a cached
-start that is still legal is still the earliest, also for a transaction
-that joins the group later.  An emptied group is deleted.  In the engine at
-most one sequence is issued on a channel between two scans: an issue resets
-`next_try`, so the next `select` on the channel scans again.
-
-Row class.  A group is a row hit when its `done_at - issue_at` is the hit
-latency; the three classes have distinct latencies.  The cached class is
-exact under the rule above, because only an issue to the same bank changes
-its open row.  `_ready` returns the ready groups and the ready row-hit
-groups, and the select rules read them: the oldest transaction of a set of
-groups is the oldest of their heads, and only the rules that look at each
-transaction (RR, QOS, FRAME_QOS and QOS_RB's checks) walk all of them.
+row class depend only on that key, the DRAM state and `now`, so each group
+caches one issue cycle (`issue_at`) and whether it is a row hit (`hit`)
+for all its transactions.  The DRAM state changes only by an issue, so a
+scan of a channel recomputes every group when `DramModel.issued` counts a
+sequence on the channel since its last scan, on another DramModel, or at
+an earlier cycle, and otherwise only the groups that are new or whose
+cached cycle is earlier than `now` (ready but lost): a cached start at or
+after `now` is still the earliest, also for a transaction that joins the
+group later.  An emptied group is deleted.  `_ready` returns the
+ready groups and the ready row-hit groups, and the select rules read them:
+the oldest transaction of a set of groups is the oldest of their heads,
+and only the rules that look at each transaction (RR, QOS, FRAME_QOS and
+QOS_RB's checks) walk all of them.
 
 `next_try`.  A scan that finds nothing ready sets `next_try` to the
 earliest cached issue cycle of the channel.  An enqueue resets it only when
@@ -88,10 +77,10 @@ def _oldest(groups) -> Transaction:
 class _Group:
     """Held transactions of one `group_key`, oldest first, and their cache."""
 
-    __slots__ = ("txns", "issue_at", "done_at")
+    __slots__ = ("txns", "issue_at", "hit")
 
     def __init__(self):
-        self.txns, self.issue_at, self.done_at = [], -1, -1
+        self.txns, self.issue_at, self.hit = [], -1, False
 
 
 def group_key(txn: Transaction) -> tuple:
@@ -184,33 +173,23 @@ class ControllerState:
         """(groups issuable at `now`, the row hits among them, earliest
         future cycle any group could become ready), recomputing only the
         groups the module docstring names."""
-        issued, rank, bank, activated, w_start, w_end = dram.last_issue[channel]
+        issued = dram.issued[channel]
         last = self._scanned.get(channel)
         self._scanned[channel] = (dram, issued, now)
-        stale = (last is None or last[0] is not dram or now < last[2]
-                 or issued - last[1] > 1)
-        if not stale and issued == last[1]:  # nothing issued since
-            rank, w_start = -1, NEVER
-        hit_latency = dram.latency[ROW_HIT]
-        # a cached burst ending at done_at overlaps [w_start, w_end) iff
-        # w_start < done_at < w_end + tBURST
-        w_end += dram.timing.tBURST
+        stale = (last is None or last[0] is not dram or issued != last[1]
+                 or now < last[2])
         out, hits = [], []
         horizon = NEVER
-        for (g_rank, g_bank, _, _), group in self._groups[channel].items():
+        for group in self._groups[channel].values():
             at = group.issue_at
-            if (stale or at < now
-                    or g_rank == rank and (
-                        g_bank == bank
-                        or activated and group.done_at - at > hit_latency)
-                    or w_start < group.done_at < w_end):
+            if stale or at < now:
                 txn = group.txns[0]
                 cls = dram.classify(txn)
                 at = group.issue_at = dram.earliest_issue(txn, now, cls)
-                group.done_at = at + dram.latency[cls]
+                group.hit = cls == ROW_HIT
             if at == now:
                 out.append(group)
-                if group.done_at - at == hit_latency:
+                if group.hit:
                     hits.append(group)
             elif at < horizon:
                 horizon = at

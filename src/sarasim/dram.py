@@ -8,9 +8,9 @@ work in one bank overlaps data transfer from another).
 
 A whole command sequence (optional PRE, optional ACT, then RD/WR) is issued
 atomically; `issue` re-checks `earliest_issue`, so an IllegalIssue can only
-indicate a scheduler bug.  `last_issue` describes the newest sequence of each
-channel, so a scheduler that caches `earliest_issue` results can tell which
-of them that sequence may have changed.
+indicate a scheduler bug.  `issued` counts the sequences issued on each
+channel; only an issue changes the state `earliest_issue` reads, so a
+scheduler that caches its results knows they hold while the count stands.
 
 Open-page policy: a row stays open until a conflicting access forces a
 precharge.  Refresh is not modeled.
@@ -179,11 +179,7 @@ class DramModel:
         # cycles from issue to the end of the data burst, by classification
         self.latency = tuple(service_latency(c, timing)
                              for c in (ROW_HIT, ROW_MISS, BANK_CLOSED))
-        # per channel: (sequences issued so far, rank, bank, whether it
-        # activated a row, data window start, data window end) of the newest
-        # sequence; the controller module docstring says which cached
-        # `earliest_issue` results it can have changed
-        self.last_issue = [(0, -1, -1, False, 0, 0)] * timing.channels
+        self.issued = [0] * timing.channels  # sequences issued per channel
         self.row_hits = 0
         self.row_misses = 0
         self.bank_opens = 0
@@ -269,8 +265,6 @@ class DramModel:
         bus = self.bus[txn.channel]
         bus.prune(now)
         bus.reserve(completion)
-        self.last_issue[txn.channel] = (
-            self.last_issue[txn.channel][0] + 1, txn.rank, txn.bank,
-            cls != ROW_HIT, completion - t.tBURST, completion)
+        self.issued[txn.channel] += 1
         self.bytes_done += txn.size_bytes
         return completion

@@ -337,3 +337,41 @@ def test_empty_policy_list_is_config_error(tmp_path, capsys, policies):
     assert rc == EXIT_CONFIG
     assert "--policies" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repeated_policy_is_config_error(tmp_path, capsys):
+    # QOS used to run twice and write QOS/npi.csv twice
+    out = tmp_path / "cmp"
+    rc = main(["compare", "-c", CASE_B, "--duration", "3000",
+               "--policies", "QOS,FCFS,QOS", "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "QOS more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frequencies", [",", ""])
+def test_empty_frequency_list_is_config_error(tmp_path, capsys, frequencies):
+    # used to exit 0 with a sweep.csv that held only its header
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
+               "display", "--frequencies", frequencies, "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "--frequencies" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_nonfinite_frequency_is_config_error_before_any_run(
+        tmp_path, capsys, monkeypatch, bad):
+    # a bad frequency after a good one used to be found only after the
+    # good frequency's whole simulation had run
+    runs = []
+    monkeypatch.setattr("sarasim.engine.run", runs.append)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
+               "display", "--frequencies", f"1700,{bad}", "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "frequency" in err and "runtime error" not in err
+    assert runs == [] and not out.exists()

@@ -3,6 +3,7 @@ emit/parse round trip."""
 
 import dataclasses
 import hashlib
+import math
 import re
 from importlib import resources
 
@@ -192,6 +193,12 @@ class TestDerivedClones:
         cfg = load_packaged_scenario("B")
         with pytest.raises(ValidationError):
             with_frequency(cfg, 0.0)
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf])
+    def test_with_frequency_rejects_nonfinite(self, freq):
+        cfg = load_packaged_scenario("B")
+        with pytest.raises(ValidationError, match="finite"):
+            with_frequency(cfg, freq)
 
 
 class TestScenarioDerivations:

@@ -481,8 +481,8 @@ class TestCachedReadySet:
                 for t in held:
                     if t is not got:
                         assert group_of(ctrl, t).issue_at == at[t.id]
-                        assert group_of(ctrl, t).done_at == (
-                            at[t.id] + dram.latency[dram.classify(t)])
+                        assert group_of(ctrl, t).hit == (
+                            dram.classify(t) == ROW_HIT)
                 if got is not None and rng.random() < 0.98:
                     dram.issue(got, now)
                     issued += 1
@@ -508,9 +508,7 @@ class TestCachedReadySet:
             assert c.select(dram, 0, now) is None
             for t in (a, b):
                 assert group_of(c, t).issue_at == dram.earliest_issue(t, now)
-                assert group_of(c, t).done_at == (
-                    dram.earliest_issue(t, now)
-                    + dram.latency[dram.classify(t)])
+                assert group_of(c, t).hit == (dram.classify(t) == ROW_HIT)
         at = group_of(c, b).issue_at
         assert c.select(dram, 0, at) is a
         assert group_of(c, b).issue_at == dram.earliest_issue(b, at) == at
