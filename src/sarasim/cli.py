@@ -127,6 +127,10 @@ def cmd_sweep(args) -> int:
     if not freqs:
         raise ValidationError(
             f"--frequencies {args.frequencies!r} names no frequency")
+    for freq in freqs:
+        if freqs.count(freq) > 1:
+            raise ValidationError(
+                f"--frequencies names {freq:g} more than once")
     # with_frequency rejects a bad frequency before any run starts
     runs = [with_frequency(cfg, freq) for freq in freqs]
     dma = args.dma

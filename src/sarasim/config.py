@@ -64,8 +64,7 @@ class DmaEntry:
         mbps = self.target_mbps if self.target_mbps >= 0 else self.rate_mbps
         return mbps * MB
 
-    def spec_for(self, clock_freq_hz: float, desk_scale: int,
-                 frame_period_cycles: int) -> DmaSpec:
+    def spec_for(self, desk_scale: int, frame_period_cycles: int) -> DmaSpec:
         return DmaSpec(
             dma_id=self.dma_id,
             source_kind=self.kind,
@@ -162,6 +161,7 @@ class ScenarioConfig:
                 f"epoch_cycles {self.epoch_cycles}")
         seen = set()
         regions = []
+        probe_limit = TXN_SIZE_BYTES / 2 * self.io_freq_mhz
         for e in self.dmas:
             if e.dma_id in seen:
                 raise ValidationError(f"duplicate dma id {e.dma_id}")
@@ -170,44 +170,10 @@ class ScenarioConfig:
             if not e.dma_id:
                 raise ValidationError("empty dma id")
             _check_text(f"{e.dma_id}: core", e.core)
-            if e.kind not in SOURCE_KINDS:
-                raise ValidationError(f"{e.dma_id}: unknown kind {e.kind}")
-            if e.meter not in METER_KINDS:
-                raise ValidationError(f"{e.dma_id}: unknown meter {e.meter}")
-            if e.queue not in QUEUE_NAMES:
-                raise ValidationError(f"{e.dma_id}: unknown queue {e.queue}")
-            if e.cluster not in ("media", "system", "direct"):
-                raise ValidationError(f"{e.dma_id}: unknown cluster {e.cluster}")
-            if not 0.0 <= e.locality <= 1.0:
-                raise ValidationError(f"{e.dma_id}: locality out of range")
-            if not 0.0 <= e.read_fraction <= 1.0:
-                raise ValidationError(f"{e.dma_id}: read_fraction out of range")
-            if e.rate_mbps < 0:
-                raise ValidationError(f"{e.dma_id}: rate_mbps is negative")
-            if e.window_cycles < 0:
-                raise ValidationError(f"{e.dma_id}: window_cycles is negative")
-            if e.queue_depth < 0:
-                raise ValidationError(f"{e.dma_id}: queue_depth is negative")
-            if e.direction not in ("drain", "fill"):
-                raise ValidationError(f"{e.dma_id}: unknown direction "
-                                      f"{e.direction}")
-            if e.region_base_kb < 0:
-                raise ValidationError(f"{e.dma_id}: region_base_kb is negative")
-            if e.region_len_kb <= 0:
-                raise ValidationError(
-                    f"{e.dma_id}: region_len_kb must be positive")
-            probe_limit = TXN_SIZE_BYTES / 2 * self.io_freq_mhz
-            if e.kind == LATENCY_PROBE and e.rate_mbps > probe_limit:
-                raise ValidationError(
-                    f"{e.dma_id}: latency_probe rate_mbps {e.rate_mbps:g} "
-                    f"exceeds one transaction per command cycle "
-                    f"({probe_limit:g})")
-            if e.meter == "latency" and e.latency_limit_cycles <= 0:
-                raise ValidationError(f"{e.dma_id}: latency meter needs "
-                                      f"latency_limit_cycles > 0")
-            if e.meter == "occupancy" and e.rate_mbps <= 0:
-                raise ValidationError(f"{e.dma_id}: occupancy meter needs "
-                                      f"rate_mbps > 0")
+            for ok, text in _DMA_CHECKS:
+                if not ok(e, probe_limit):
+                    raise ValidationError(f"{e.dma_id}: " + text.format(
+                        probe_limit=probe_limit, **vars(e)))
             if e.lut:
                 PriorityLut(entries=tuple(e.lut))  # validates itself
             regions.append((e.dma_id, e.region_base_kb,
@@ -217,6 +183,38 @@ class ScenarioConfig:
             if b0 < a1:
                 raise ValidationError(
                     f"address regions of {a} and {b} overlap")
+
+
+# the per-DMA checks: a test that holds for a valid entry `e`, given the
+# largest latency_probe rate_mbps, and the error text, formatted with the
+# entry's fields and that limit
+_DMA_CHECKS = (
+    (lambda e, limit: e.kind in SOURCE_KINDS, "unknown kind {kind}"),
+    (lambda e, limit: e.meter in METER_KINDS, "unknown meter {meter}"),
+    (lambda e, limit: e.queue in QUEUE_NAMES, "unknown queue {queue}"),
+    (lambda e, limit: e.cluster in ("media", "system", "direct"),
+     "unknown cluster {cluster}"),
+    (lambda e, limit: 0.0 <= e.locality <= 1.0, "locality out of range"),
+    (lambda e, limit: 0.0 <= e.read_fraction <= 1.0,
+     "read_fraction out of range"),
+    (lambda e, limit: e.rate_mbps >= 0, "rate_mbps is negative"),
+    (lambda e, limit: e.window_cycles >= 0, "window_cycles is negative"),
+    (lambda e, limit: e.queue_depth >= 0, "queue_depth is negative"),
+    (lambda e, limit: e.direction in ("drain", "fill"),
+     "unknown direction {direction}"),
+    (lambda e, limit: e.region_base_kb >= 0, "region_base_kb is negative"),
+    (lambda e, limit: e.region_len_kb > 0, "region_len_kb must be positive"),
+    (lambda e, limit: e.pace_boost > 0, "pace_boost must be positive"),
+    (lambda e, limit: e.kind != LATENCY_PROBE or e.rate_mbps <= limit,
+     "latency_probe rate_mbps {rate_mbps:g} exceeds one transaction per "
+     "command cycle ({probe_limit:g})"),
+    (lambda e, limit: e.meter != "latency" or e.latency_limit_cycles > 0,
+     "latency meter needs latency_limit_cycles > 0"),
+    (lambda e, limit: e.meter != "occupancy" or e.rate_mbps > 0,
+     "occupancy meter needs rate_mbps > 0"),
+    (lambda e, limit: e.meter != "occupancy" or e.buffer_kb > 0,
+     "occupancy meter needs buffer_kb > 0"),
+)
 
 
 def _check_text(label: str, value: str) -> None:
@@ -399,18 +397,19 @@ def load_packaged_scenario(case: str) -> ScenarioConfig:
     return parse_config(text)
 
 
+def _clone(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """A copy of `cfg` with `changes` whose DRAM timing and DMA list a
+    caller may change without touching `cfg`."""
+    return dataclasses.replace(cfg, dram=dataclasses.replace(cfg.dram),
+                               dmas=list(cfg.dmas), **changes)
+
+
 def with_policy(cfg: ScenarioConfig, policy: str) -> ScenarioConfig:
-    clone = dataclasses.replace(cfg, dram=dataclasses.replace(cfg.dram),
-                                dmas=list(cfg.dmas))
-    clone.policy = policy
-    return clone
+    return _clone(cfg, policy=policy)
 
 
 def with_frequency(cfg: ScenarioConfig, io_freq_mhz: float) -> ScenarioConfig:
     if not 0 < io_freq_mhz < math.inf:
         raise ValidationError(
             f"frequency must be finite and positive, not {io_freq_mhz}")
-    clone = dataclasses.replace(cfg, dram=dataclasses.replace(cfg.dram),
-                                dmas=list(cfg.dmas))
-    clone.io_freq_mhz = io_freq_mhz
-    return clone
+    return _clone(cfg, io_freq_mhz=io_freq_mhz)

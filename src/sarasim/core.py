@@ -7,7 +7,7 @@ stamps needed by the performance meters and the metrics sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 PRIORITY_BITS = 3
 PRIORITY_LEVELS = 1 << PRIORITY_BITS  # 0 = healthy/lowest urgency, 7 = highest
@@ -60,9 +60,3 @@ class Transaction:
     queue: int = 0  # controller queue index, assigned on arrival
     seq: int = -1  # controller arrival sequence, the FCFS tie-break
     t_hop: int = -1  # cycle the txn entered its current NoC queue
-
-    def __post_init__(self):
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if not 0 <= self.priority < PRIORITY_LEVELS:
-            raise ValueError("priority out of range")

@@ -166,7 +166,6 @@ class DramModel:
     """All channel/rank/bank state plus bandwidth and row-hit accounting."""
 
     def __init__(self, timing: DramTimingConfig):
-        timing.validate()
         self.timing = timing
         self.address_map = AddressMap(timing)
         self.banks = [[[BankState() for _ in range(timing.banks)]

@@ -163,8 +163,7 @@ class World:
         self.frame_meters = []
         epoch_window = cfg.meter_window_cycles
         for i, e in enumerate(entries):
-            spec = e.spec_for(clock_hz, cfg.desk_scale,
-                              cfg.frame_period_cycles)
+            spec = e.spec_for(cfg.desk_scale, cfg.frame_period_cycles)
             window = e.window_cycles or epoch_window
             meter = self._build_meter(e, spec, clock_hz, window,
                                       cfg.desk_scale)

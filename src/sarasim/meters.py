@@ -26,10 +26,6 @@ class MalformedLut(ValidationError):
     pass
 
 
-class WrongDma(Exception):
-    pass
-
-
 def clamp_npi(value: float) -> float:
     if value != value or value == float("inf"):  # NaN or +inf
         return NPI_MAX
@@ -87,8 +83,6 @@ class LatencyMeter:
         return self._sum / len(self.samples) if self.samples else 0.0
 
     def on_completion(self, txn: Transaction, cycle: int) -> None:
-        if txn.source != self.dma_id:
-            raise WrongDma(f"{txn.source} != {self.dma_id}")
         if txn.kind != READ:
             return  # writes are posted
         if len(self.samples) == self.samples.maxlen:
@@ -122,8 +116,6 @@ class FrameProgressMeter:
         self.frame_start_cycle = cycle
 
     def on_completion(self, txn: Transaction, cycle: int) -> None:
-        if txn.source != self.dma_id:
-            raise WrongDma(f"{txn.source} != {self.dma_id}")
         self.bytes_done = min(self.bytes_done + txn.size_bytes,
                               self.frame_bytes)
 
@@ -182,8 +174,6 @@ class OccupancyMeter:
         self._last_flow_cycle = cycle
 
     def on_completion(self, txn: Transaction, cycle: int) -> None:
-        if txn.source != self.dma_id:
-            raise WrongDma(f"{txn.source} != {self.dma_id}")
         self._apply_flow(cycle)
         if self.active_since is None:
             self.active_since = cycle
@@ -219,8 +209,6 @@ class BandwidthMeter:
         self.ever_completed = False
 
     def on_completion(self, txn: Transaction, cycle: int) -> None:
-        if txn.source != self.dma_id:
-            raise WrongDma(f"{txn.source} != {self.dma_id}")
         self.completions.append((cycle, txn.size_bytes))
         self.bytes_in_window += txn.size_bytes
         self.ever_completed = True

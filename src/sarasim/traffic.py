@@ -17,7 +17,7 @@ Addresses walk the DMA's region sequentially; with probability
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import READ, WRITE, TXN_SIZE_BYTES, Transaction
 from .dram import NEVER
@@ -46,18 +46,6 @@ class DmaSpec:
     read_fraction: float = 1.0
     pace_boost: float = 2.0  # occupancy-gated refill headroom factor
 
-    def validate(self) -> None:
-        if self.source_kind not in SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {self.source_kind}")
-        if self.rate_bytes_per_s < 0:
-            raise ValueError("rate must be non-negative")
-        if not 0.0 <= self.locality <= 1.0:
-            raise ValueError("locality must be in [0, 1]")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        if self.source_kind == BURSTY_FRAME and self.frame_period_cycles <= 0:
-            raise ValueError("bursty_frame needs frame_period_cycles")
-
 
 @dataclass
 class GeneratorState:
@@ -76,7 +64,6 @@ class Generator:
 
     def __init__(self, spec: DmaSpec, rng, clock_freq_hz: float,
                  id_base: int = 0, occupancy_meter=None):
-        spec.validate()
         self.spec = spec
         self.rng = rng
         self.state = GeneratorState(next_address=spec.address_region[0])

@@ -189,7 +189,13 @@ def case_b_with(tmp_path, dma, key, value):
     ("improc", "frame_kb", "inf", "'frame_kb'"),
     ("dsp", "rate_mbps", "inf", "'rate_mbps'"),  # a probe with mean 0
     ("wifi", "rate_mbps", "-5", "wifi"),
-    ("dsp", "region_base_kb", "-4096", "dsp")])
+    ("dsp", "region_base_kb", "-4096", "dsp"),
+    # a pace_boost of 0 divided by zero, and a negative one or an empty
+    # buffer left display reading healthy while it moved nothing
+    ("display", "pace_boost", "0.0", "display"),
+    ("display", "pace_boost", "-1.0", "display"),
+    ("display", "buffer_kb", "0.0", "display"),
+    ("display", "buffer_kb", "-5.0", "display")])
 def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
                                                           dma, key, value,
                                                           named):
@@ -347,6 +353,17 @@ def test_repeated_policy_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "QOS more than once" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frequencies", ["1700,1700", "1700,1700.0"])
+def test_repeated_frequency_is_config_error(tmp_path, capsys, frequencies):
+    # 1700 used to run twice and write two identical sweep.csv rows
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
+               "display", "--frequencies", frequencies, "-o", str(out)])
+    assert rc == EXIT_CONFIG
+    assert "1700 more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -146,6 +146,16 @@ latency_limit_cycles = 500
         with pytest.raises(MalformedLut):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key,value", [
+        ("read_fraction", 1.5), ("locality", -0.1), ("kind", "bogus"),
+        ("pace_boost", 0.0), ("buffer_kb", 0.0)])
+    def test_out_of_range_dma_value_names_the_dma(self, key, value):
+        cfg = load_packaged_scenario("B")
+        display = next(e for e in cfg.dmas if e.dma_id == "display")
+        setattr(display, key, value)
+        with pytest.raises(ValidationError, match=f"^display: .*{key}"):
+            cfg.validate()
+
 
 class TestEmit:
     def test_emit_parse_is_identity(self):
@@ -271,7 +281,8 @@ class TestRoundTripProperties:
             e.dma_id = draw(st.just(e.dma_id) | st.text())
             e.core = draw(st.just(e.core) | st.text())
             e.target_mbps = draw(finite)
-            e.pace_boost = draw(finite)
+            e.pace_boost = draw(st.floats(0.0, exclude_min=True,
+                                          allow_infinity=False))
             e.reference_slope = draw(finite)
             e.locality = draw(st.floats(0.0, 1.0))
             e.read_fraction = draw(st.floats(0.0, 1.0))

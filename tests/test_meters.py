@@ -13,7 +13,7 @@ from sarasim.core import READ, WRITE, Transaction
 from sarasim.dram import InvalidWindow
 from sarasim.meters import (DRAIN, FILL, NPI_MAX, BandwidthMeter,
                             FrameProgressMeter, LatencyMeter, MalformedLut,
-                            OccupancyMeter, PriorityLut, WrongDma, clamp_npi,
+                            OccupancyMeter, PriorityLut, clamp_npi,
                             translate)
 
 
@@ -60,11 +60,6 @@ class TestLatencyMeter:
         w.t_completed = 5000
         m.on_completion(w, 5000)
         assert m.npi() == NPI_MAX  # write left no latency sample
-
-    def test_wrong_source_rejected(self):
-        m = LatencyMeter("dsp", max_latency_limit=200)
-        with pytest.raises(WrongDma):
-            m.on_completion(read_txn(source="gpu"), 0)
 
 
 # -- frame-progress meter ----------------------------------------------------

@@ -20,8 +20,8 @@ CLOCK = 1.0e9  # 1 GHz so cycles and nanoseconds coincide
 def make_dataflow_scenario(case: str):
     """DmaSpec list for the shipped camcorder test cases ("A" or "B")."""
     cfg = load_packaged_scenario(case)
-    return [e.spec_for(cfg.command_clock_hz, cfg.desk_scale,
-                       cfg.frame_period_cycles) for e in cfg.dmas]
+    return [e.spec_for(cfg.desk_scale, cfg.frame_period_cycles)
+            for e in cfg.dmas]
 
 
 def make_gen(kind=CONSTANT_RATE, rate=89.0e6, seed=0, **kw):
@@ -219,11 +219,6 @@ class TestBurstyFrame:
         assert gen.next_requests(50, space=64) == []
         assert len(gen.next_requests(100, space=64)) == 2
 
-    def test_requires_frame_period(self):
-        with pytest.raises(ValueError):
-            make_gen(BURSTY_FRAME, rate=1.0e6, frame_bytes=64,
-                     frame_period_cycles=0)
-
 
 class TestLatencyProbe:
     def test_exponential_interarrival_mean(self):
@@ -288,10 +283,6 @@ class TestReadWriteMix:
         kinds = [t.kind for _, t in drain(gen, 5000)]
         frac = sum(1 for k in kinds if k == READ) / len(kinds)
         assert abs(frac - 0.7) < 0.05
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            make_gen(CONSTANT_RATE, read_fraction=1.5)
 
 
 class TestDataflowComposition:
