@@ -20,9 +20,10 @@ from importlib import resources
 
 from .controller import POLICIES, QUEUE_NAMES
 from .core import TXN_SIZE_BYTES, ValidationError
-from .dram import DramTimingConfig
+from .dram import NEVER, DramTimingConfig
 from .meters import MalformedLut, PriorityLut
-from .traffic import LATENCY_PROBE, SOURCE_KINDS, DmaSpec
+from .traffic import (BURSTY_FRAME, CREDIT_KINDS, LATENCY_PROBE,
+                      SOURCE_KINDS, DmaSpec)
 
 
 class ParseError(Exception):
@@ -161,7 +162,6 @@ class ScenarioConfig:
                 f"epoch_cycles {self.epoch_cycles}")
         seen = set()
         regions = []
-        probe_limit = TXN_SIZE_BYTES / 2 * self.io_freq_mhz
         for e in self.dmas:
             if e.dma_id in seen:
                 raise ValidationError(f"duplicate dma id {e.dma_id}")
@@ -171,9 +171,9 @@ class ScenarioConfig:
                 raise ValidationError("empty dma id")
             _check_text(f"{e.dma_id}: core", e.core)
             for ok, text in _DMA_CHECKS:
-                if not ok(e, probe_limit):
+                if not ok(e, self):
                     raise ValidationError(f"{e.dma_id}: " + text.format(
-                        probe_limit=probe_limit, **vars(e)))
+                        probe_limit=_probe_limit(self), **vars(e)))
             if e.lut:
                 PriorityLut(entries=tuple(e.lut))  # validates itself
             regions.append((e.dma_id, e.region_base_kb,
@@ -185,35 +185,64 @@ class ScenarioConfig:
                     f"address regions of {a} and {b} overlap")
 
 
-# the per-DMA checks: a test that holds for a valid entry `e`, given the
-# largest latency_probe rate_mbps, and the error text, formatted with the
-# entry's fields and that limit
+def _probe_limit(cfg: ScenarioConfig) -> float:
+    """The largest latency_probe rate_mbps: one transaction per cycle."""
+    return TXN_SIZE_BYTES / 2 * cfg.io_freq_mhz
+
+
+def _earns_a_transaction(e: DmaEntry, cfg: ScenarioConfig) -> bool:
+    """Whether `e`'s `Generator` earns one transaction in fewer than
+    `NEVER` cycles: at its `rate_per_cycle`, or, for a credit stream under
+    an occupancy meter, at its `pace`, which pace_boost multiplies."""
+    spec = e.spec_for(cfg.desk_scale, cfg.frame_period_cycles)
+    rate = spec.rate_bytes_per_s / cfg.command_clock_hz
+    if e.kind in CREDIT_KINDS and e.meter == "occupancy":
+        rate *= e.pace_boost
+    return rate > 0 and TXN_SIZE_BYTES / rate < NEVER
+
+
+# the per-DMA checks: a test that holds for a valid entry `e` of scenario
+# `s`, and the error text, formatted with the entry's fields and the
+# largest latency_probe rate_mbps
 _DMA_CHECKS = (
-    (lambda e, limit: e.kind in SOURCE_KINDS, "unknown kind {kind}"),
-    (lambda e, limit: e.meter in METER_KINDS, "unknown meter {meter}"),
-    (lambda e, limit: e.queue in QUEUE_NAMES, "unknown queue {queue}"),
-    (lambda e, limit: e.cluster in ("media", "system", "direct"),
+    (lambda e, s: e.kind in SOURCE_KINDS, "unknown kind {kind}"),
+    (lambda e, s: e.meter in METER_KINDS, "unknown meter {meter}"),
+    (lambda e, s: e.queue in QUEUE_NAMES, "unknown queue {queue}"),
+    (lambda e, s: e.cluster in ("media", "system", "direct"),
      "unknown cluster {cluster}"),
-    (lambda e, limit: 0.0 <= e.locality <= 1.0, "locality out of range"),
-    (lambda e, limit: 0.0 <= e.read_fraction <= 1.0,
+    (lambda e, s: 0.0 <= e.locality <= 1.0, "locality out of range"),
+    (lambda e, s: 0.0 <= e.read_fraction <= 1.0,
      "read_fraction out of range"),
-    (lambda e, limit: e.rate_mbps >= 0, "rate_mbps is negative"),
-    (lambda e, limit: e.window_cycles >= 0, "window_cycles is negative"),
-    (lambda e, limit: e.queue_depth >= 0, "queue_depth is negative"),
-    (lambda e, limit: e.direction in ("drain", "fill"),
+    (lambda e, s: e.rate_mbps >= 0, "rate_mbps is negative"),
+    (lambda e, s: e.window_cycles >= 0, "window_cycles is negative"),
+    (lambda e, s: e.queue_depth >= 0, "queue_depth is negative"),
+    (lambda e, s: e.direction in ("drain", "fill"),
      "unknown direction {direction}"),
-    (lambda e, limit: e.region_base_kb >= 0, "region_base_kb is negative"),
-    (lambda e, limit: e.region_len_kb > 0, "region_len_kb must be positive"),
-    (lambda e, limit: e.pace_boost > 0, "pace_boost must be positive"),
-    (lambda e, limit: e.kind != LATENCY_PROBE or e.rate_mbps <= limit,
+    (lambda e, s: e.region_base_kb >= 0, "region_base_kb is negative"),
+    (lambda e, s: e.region_len_kb > 0, "region_len_kb must be positive"),
+    (lambda e, s: e.pace_boost > 0, "pace_boost must be positive"),
+    (lambda e, s: e.kind != LATENCY_PROBE or e.rate_mbps <= _probe_limit(s),
      "latency_probe rate_mbps {rate_mbps:g} exceeds one transaction per "
      "command cycle ({probe_limit:g})"),
-    (lambda e, limit: e.meter != "latency" or e.latency_limit_cycles > 0,
+    (lambda e, s: e.kind == BURSTY_FRAME or e.rate_mbps == 0
+     or _earns_a_transaction(e, s),
+     "rate_mbps {rate_mbps:g} earns no transaction in 2**62 command cycles "
+     "(on an occupancy stream, at pace_boost {pace_boost:g})"),
+    (lambda e, s: e.meter != "latency" or e.latency_limit_cycles > 0,
      "latency meter needs latency_limit_cycles > 0"),
-    (lambda e, limit: e.meter != "occupancy" or e.rate_mbps > 0,
+    (lambda e, s: e.meter != "occupancy" or e.rate_mbps > 0,
      "occupancy meter needs rate_mbps > 0"),
-    (lambda e, limit: e.meter != "occupancy" or e.buffer_kb > 0,
+    (lambda e, s: e.meter != "occupancy" or e.buffer_kb > 0,
      "occupancy meter needs buffer_kb > 0"),
+    (lambda e, s: e.meter != "frame_progress" or e.spec_for(
+        s.desk_scale, s.frame_period_cycles).frame_bytes >= TXN_SIZE_BYTES,
+     "frame_progress meter: frame_kb {frame_kb:g} over desk_scale holds "
+     "no whole transaction"),
+    # the reference, reference_slope * elapsed / frame period, stays > 0
+    (lambda e, s: e.meter != "frame_progress"
+     or e.reference_slope / s.frame_period_cycles > 0,
+     "frame_progress meter needs reference_slope / frame period > 0, not "
+     "reference_slope {reference_slope:g}"),
 )
 
 

@@ -26,17 +26,17 @@ store of held transactions; each of the five queues keeps only a count
 (`held`), which the static split reads.  `DramModel.earliest_issue` and the
 row class depend only on that key, the DRAM state and `now`, so each group
 caches one issue cycle (`issue_at`) and whether it is a row hit (`hit`)
-for all its transactions.  The DRAM state changes only by an issue, so a
-scan of a channel recomputes every group when `DramModel.issued` counts a
-sequence on the channel since its last scan, on another DramModel, or at
-an earlier cycle, and otherwise only the groups that are new or whose
-cached cycle is earlier than `now` (ready but lost): a cached start at or
-after `now` is still the earliest, also for a transaction that joins the
-group later.  An emptied group is deleted.  `_ready` returns the
-ready groups and the ready row-hit groups, and the select rules read them:
-the oldest transaction of a set of groups is the oldest of their heads,
-and only the rules that look at each transaction (RR, QOS, FRAME_QOS and
-QOS_RB's checks) walk all of them.
+for all its transactions.  The caller scans with one DramModel at
+nondecreasing cycles, and the DRAM state changes only by an issue, so a
+scan of a channel recomputes every group when `DramModel.issued[channel]`
+differs from its value at the channel's last scan, and otherwise only the
+groups that are new or whose cached cycle is earlier than `now` (ready but
+lost): a cached start at or after `now` is still the earliest, also for a
+transaction that joins the group later.  An emptied group is deleted.
+`_ready` returns the ready groups and the ready row-hit groups, and the
+select rules read them: the oldest transaction of a set of groups is the
+oldest of their heads, and only the rules that look at each transaction
+(RR, QOS, FRAME_QOS and QOS_RB's checks) walk all of them.
 
 `next_try`.  A scan that finds nothing ready sets `next_try` to the
 earliest cached issue cycle of the channel.  An enqueue resets it only when
@@ -122,7 +122,7 @@ class ControllerState:
         # reset by an issue and by an enqueue that opens a group
         self.next_try = defaultdict(int)
         self._groups = defaultdict(dict)  # channel -> group_key -> _Group
-        # channel -> (DramModel, its issue count, cycle) at the last scan
+        # channel -> DramModel.issued[channel] at the channel's last scan
         self._scanned = {}
 
     # -- queue admission ---------------------------------------------------
@@ -174,10 +174,8 @@ class ControllerState:
         future cycle any group could become ready), recomputing only the
         groups the module docstring names."""
         issued = dram.issued[channel]
-        last = self._scanned.get(channel)
-        self._scanned[channel] = (dram, issued, now)
-        stale = (last is None or last[0] is not dram or issued != last[1]
-                 or now < last[2])
+        stale = issued != self._scanned.get(channel)
+        self._scanned[channel] = issued
         out, hits = [], []
         horizon = NEVER
         for group in self._groups[channel].values():

@@ -141,30 +141,17 @@ class World:
             queue_of_dma=queue_of, static_split=cfg.static_split)
         self.policy = self.controller.policy
 
-        clusters = {}
-        direct = []
-        for e in entries:
-            if e.cluster == "direct":
-                direct.append(e.dma_id)
-            else:
-                clusters.setdefault(e.cluster, []).append(e.dma_id)
-        self.noc = NocFabric(clusters, direct, self.dma_order,
-                             channels=cfg.dram.channels, depth=cfg.noc_depth,
-                             cluster_depth=cfg.noc_cluster_depth,
-                             mode=self.policy.noc_mode,
-                             leaf_depths={e.dma_id: e.queue_depth
-                                          for e in entries})
-
         self.meters = {}
         self.luts = {}
         self.generators = {}
         self.level = {}
         self.media_dmas = set()
         self.frame_meters = []
-        epoch_window = cfg.meter_window_cycles
+        leaf_depth = {}
         for i, e in enumerate(entries):
             spec = e.spec_for(cfg.desk_scale, cfg.frame_period_cycles)
-            window = e.window_cycles or epoch_window
+            window = e.window_cycles or cfg.meter_window_cycles
+            leaf_depth[e.dma_id] = e.queue_depth or cfg.noc_depth
             meter = self._build_meter(e, spec, clock_hz, window,
                                       cfg.desk_scale)
             self.meters[e.dma_id] = meter
@@ -185,6 +172,11 @@ class World:
                 self.media_dmas.add(e.dma_id)
             if isinstance(meter, FrameProgressMeter):
                 self.frame_meters.append(meter)
+        cluster_depth = cfg.noc_cluster_depth
+        self.noc = NocFabric(
+            {e.dma_id: e.cluster for e in entries}, leaf_depth,
+            cfg.noc_depth if cluster_depth is None else cluster_depth,
+            cfg.dram.channels, self.policy.noc_mode)
 
         self.boosted = frozenset()  # see Policy.media_first
         self.inflight = []  # heap of (completion, seq, txn)
@@ -213,7 +205,7 @@ class World:
         if e.meter == "latency":
             return LatencyMeter(e.dma_id, e.latency_limit_cycles)
         if e.meter == "frame_progress":
-            return FrameProgressMeter(e.dma_id, max(spec.frame_bytes, 1),
+            return FrameProgressMeter(e.dma_id, spec.frame_bytes,
                                       spec.frame_period_cycles,
                                       e.reference_slope)
         if e.meter == "occupancy":

@@ -127,9 +127,8 @@ class FrameProgressMeter:
             # nothing completed yet this frame: no feedback to judge by
             return NPI_MAX
         progress = self.bytes_done / self.frame_bytes
+        # ScenarioConfig.validate keeps the reference positive
         reference = self.reference_slope * elapsed / self.frame_period_cycles
-        if reference == 0.0:
-            return NPI_MAX
         return clamp_npi(progress / reference)
 
 

@@ -120,31 +120,31 @@ class ArbiterNode:
 
 
 class NocFabric:
-    """Leaf queue per DMA, optional cluster arbiters, one root per channel."""
+    """Leaf queue per DMA, optional cluster arbiters, one root per channel.
+    `route` maps each DMA, in DMA order, to its cluster or "direct"."""
 
-    def __init__(self, clusters: dict, direct: list, dma_order: list,
-                 channels: int, depth: int = 8, cluster_depth: int | None = None,
-                 mode: str = PRIORITY, leaf_depths: dict | None = None):
-        self.cluster_depth = depth if cluster_depth is None else cluster_depth
-        self.leaf_depth = {d: (leaf_depths or {}).get(d) or depth
-                           for d in dma_order}
-        self.dma_order = list(dma_order)
+    def __init__(self, route: dict, leaf_depth: dict, cluster_depth: int,
+                 channels: int, mode: str = PRIORITY):
+        self.leaf_depth, self.cluster_depth = leaf_depth, cluster_depth
+        self.dma_order = list(route)
         self.leaf = {}
         self.cluster_nodes = []
         self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
         self.roots = []
         self._feeds = {}  # the nodes each DMA's leaf feeds
-        for name in sorted(clusters):
-            members = [d for d in dma_order if d in clusters[name]]
-            node = ArbiterNode(name, len(members), depth, mode)
-            for port, dma in enumerate(members):
+        members = {}
+        for dma, where in route.items():
+            members.setdefault(where, []).append(dma)
+        self.direct = members.pop("direct", [])
+        for name, dmas in sorted(members.items()):
+            node = ArbiterNode(name, len(dmas), mode=mode)
+            for port, dma in enumerate(dmas):
                 self.leaf[dma] = node.ports[port]
                 self._feeds[dma] = (node,)
             self.cluster_nodes.append(node)
-            self.cluster_members.append(members)
+            self.cluster_members.append(dmas)
             self.cluster_out.append(deque())
-        self.direct = [d for d in dma_order if d in direct]
         for d in self.direct:
             self.leaf[d] = deque()
             self._feeds[d] = self.roots
@@ -152,7 +152,7 @@ class NocFabric:
         # each root's arbitration view shares these FIFOs
         self._root_queues = self.cluster_out + [self.leaf[d] for d in self.direct]
         for ch in range(channels):
-            root = ArbiterNode(f"root{ch}", len(self._root_queues), depth, mode,
+            root = ArbiterNode(f"root{ch}", len(self._root_queues), mode=mode,
                                channel=ch)
             root.ports = list(self._root_queues)
             self.roots.append(root)

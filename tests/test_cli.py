@@ -195,7 +195,20 @@ def case_b_with(tmp_path, dma, key, value):
     ("display", "pace_boost", "0.0", "display"),
     ("display", "pace_boost", "-1.0", "display"),
     ("display", "buffer_kb", "0.0", "display"),
-    ("display", "buffer_kb", "-5.0", "display")])
+    ("display", "buffer_kb", "-5.0", "display"),
+    # a positive rate too small to earn one transaction: a subnormal pace
+    # or probe mean overflowed to infinity, and a pace of 1e-300 left
+    # display reading healthy while it moved nothing
+    ("display", "pace_boost", "1e-320", "display"),
+    ("display", "pace_boost", "1e-300", "display"),
+    ("dsp", "rate_mbps", "1e-316", "dsp"),
+    ("wifi", "rate_mbps", "1e-316", "wifi"),
+    # a frame-progress meter with no whole transaction per frame, or with
+    # no positive reference, read a made-up NPI
+    ("improc", "frame_kb", "0", "improc"),
+    ("improc", "reference_slope", "0", "improc"),
+    ("improc", "reference_slope", "-1", "improc"),
+    ("display", "meter", "frame_progress", "display")])
 def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
                                                           dma, key, value,
                                                           named):

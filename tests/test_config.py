@@ -281,9 +281,12 @@ class TestRoundTripProperties:
             e.dma_id = draw(st.just(e.dma_id) | st.text())
             e.core = draw(st.just(e.core) | st.text())
             e.target_mbps = draw(finite)
-            e.pace_boost = draw(st.floats(0.0, exclude_min=True,
-                                          allow_infinity=False))
-            e.reference_slope = draw(finite)
+            # ranges that validate() accepts: every pace earns a
+            # transaction, and no reference underflows to zero
+            e.pace_boost = draw(st.floats(1e-3, 1e3))
+            e.reference_slope = draw(st.floats(0.0, exclude_min=True,
+                                               allow_subnormal=False,
+                                               allow_infinity=False))
             e.locality = draw(st.floats(0.0, 1.0))
             e.read_fraction = draw(st.floats(0.0, 1.0))
             e.queue_depth = draw(st.integers(0, 128))

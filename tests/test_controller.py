@@ -524,20 +524,3 @@ class TestCachedReadySet:
         assert c.next_try[0] == wait
         c.enqueue(make_txn(dram, 4, bank=1), 3)  # opens a group
         assert c.next_try[0] == 0
-
-    def test_rescans_at_an_earlier_cycle_or_on_another_model(self):
-        dram, c = model(), make_controller(policy="FCFS")
-        a, b = make_txn(dram, 1, bank=0), make_txn(dram, 2, bank=1)
-        c.enqueue(a, 0)
-        c.enqueue(b, 0)
-        assert c.select(dram, 0, 100) is a  # b was ready too, and lost
-        assert c.select(dram, 0, 50) is b
-
-        busy, fresh = model(), model()
-        busy.issue(make_txn(busy, 3, bank=2, row=0), 0)
-        miss = make_txn(busy, 4, bank=2, row=1)
-        hit = make_txn(busy, 5, bank=2, row=0)
-        c.enqueue(miss, 1)
-        c.enqueue(hit, 1)
-        assert c.select(busy, 0, 42) is hit  # miss waits for tRTP until 48
-        assert c.select(fresh, 0, 42) is miss

@@ -4,9 +4,11 @@ and the fabric-level fairness/ordering properties."""
 import numpy as np
 import pytest
 
+from sarasim.config import load_packaged_scenario
 from sarasim.controller import ControllerState, QUEUE_NAMES
 from sarasim.core import PRIORITY_LEVELS, READ, Transaction, next_in_turn
 from sarasim.dram import DramModel, DramTimingConfig
+from sarasim.engine import World
 from sarasim.noc import (FCFS, MODES, PRIORITY, ROUND_ROBIN, ArbiterNode,
                          NocFabric)
 
@@ -167,10 +169,10 @@ class TestPick:
 
 # -- fabric ------------------------------------------------------------------
 
-def make_fabric(mode=PRIORITY, depth=8, cluster_depth=None):
-    clusters = {"media": ["a", "b"]}
-    return NocFabric(clusters, ["c"], ["a", "b", "c"], channels=1,
-                     depth=depth, cluster_depth=cluster_depth, mode=mode)
+def make_fabric(mode=PRIORITY, depth=8):
+    route = {"a": "media", "b": "media", "c": "direct"}
+    return NocFabric(route, dict.fromkeys(route, depth), depth, channels=1,
+                     mode=mode)
 
 
 def resident(ctrl):
@@ -296,8 +298,13 @@ class TestFabric:
         assert t.aged
 
     def test_per_dma_leaf_depth_override(self):
-        clusters = {"media": ["a", "b"]}
-        fab = NocFabric(clusters, ["c"], ["a", "b", "c"], channels=1,
-                        depth=4, leaf_depths={"a": 16})
-        assert fab.leaf_space("a") == 16
-        assert fab.leaf_space("b") == 4
+        # World resolves the defaults: a queue_depth of 0 and an unset
+        # cluster_depth mean the [noc] depth
+        cfg = load_packaged_scenario("B")
+        cfg.noc_depth, cfg.noc_cluster_depth = 4, None
+        dma = {e.dma_id: e for e in cfg.dmas}
+        dma["improc"].queue_depth, dma["codec"].queue_depth = 16, 0
+        fab = World(cfg).noc
+        assert fab.leaf_space("improc") == 16
+        assert fab.leaf_space("codec") == 4
+        assert fab.cluster_depth == 4
