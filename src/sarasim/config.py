@@ -203,8 +203,14 @@ def _earns_a_transaction(e: DmaEntry, cfg: ScenarioConfig) -> bool:
 
 # the per-DMA checks: a test that holds for a valid entry `e` of scenario
 # `s`, and the error text, formatted with the entry's fields and the
-# largest latency_probe rate_mbps
-_DMA_CHECKS = (
+# largest latency_probe rate_mbps; finite values first, since later rows
+# compute with them
+_DMA_CHECKS = tuple(
+    (lambda e, s, key=f.name: math.isfinite(getattr(e, key)),
+     f"{f.name} {{{f.name}}} is not finite")
+    for f in dataclasses.fields(DmaEntry) if f.type == "float") + (
+    (lambda e, s: all(map(math.isfinite, e.lut)),
+     "lut {lut} has a non-finite entry"),
     (lambda e, s: e.kind in SOURCE_KINDS, "unknown kind {kind}"),
     (lambda e, s: e.meter in METER_KINDS, "unknown meter {meter}"),
     (lambda e, s: e.queue in QUEUE_NAMES, "unknown queue {queue}"),

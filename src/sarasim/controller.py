@@ -17,26 +17,28 @@ Aged transactions outrank every priority level until completed; aging is
 active only under QOS and QOS_RB.  `POLICY` describes each policy once, as
 one `Policy` record that the engine, the NoC and this controller all read.
 
+Arrival order.  The caller uses one `DramModel` and enqueues and scans at
+nondecreasing cycles, as `World` does, so the enqueue count `seq` is
+arrival order: a larger `seq` never has an earlier enqueue cycle.
+
 Ready set.  The transactions held for a channel sit in groups keyed by
-(rank, bank, row, kind), in arrival order (`t_enqueued`, then `seq`), as in
-the per-bank queues of FR-FCFS controllers (Rixner et al., ISCA 2000).
-`enqueue` appends, and inserts in order only when given an earlier cycle
-than its group's newest transaction.  The groups are the controller's only
-store of held transactions; each of the five queues keeps only a count
-(`held`), which the static split reads.  `DramModel.earliest_issue` and the
-row class depend only on that key, the DRAM state and `now`, so each group
-caches one issue cycle (`issue_at`) and whether it is a row hit (`hit`)
-for all its transactions.  The caller scans with one DramModel at
-nondecreasing cycles, and the DRAM state changes only by an issue, so a
-scan of a channel recomputes every group when `DramModel.issued[channel]`
-differs from its value at the channel's last scan, and otherwise only the
-groups that are new or whose cached cycle is earlier than `now` (ready but
-lost): a cached start at or after `now` is still the earliest, also for a
-transaction that joins the group later.  An emptied group is deleted.
-`_ready` returns the ready groups and the ready row-hit groups, and the
-select rules read them: the oldest transaction of a set of groups is the
-oldest of their heads, and only the rules that look at each transaction
-(RR, QOS, FRAME_QOS and QOS_RB's checks) walk all of them.
+(rank, bank, row, kind), in `seq` order (`enqueue` appends), as in the
+per-bank queues of FR-FCFS controllers (Rixner et al., ISCA 2000).  The
+groups are the controller's only store of held transactions; each of the
+five queues keeps only a count (`held`), which the static split reads.
+`DramModel.earliest_issue` and the row class depend only on that key, the
+DRAM state and `now`, so each group caches one issue cycle (`issue_at`)
+and whether it is a row hit (`hit`) for all its transactions.  The DRAM
+state changes only by an issue, so a scan of a channel recomputes every
+group when `DramModel.issued[channel]` differs from its value at the
+channel's last scan, and otherwise only the groups that are new or whose
+cached cycle is earlier than `now` (ready but lost): a cached start at or
+after `now` is still the earliest, also for a transaction that joins the
+group later.  An emptied group is deleted.  `_ready` returns the ready
+groups and the ready row-hit groups, and the select rules read them: the
+oldest transaction of a set of groups is the oldest of their heads, and
+only the rules that look at each transaction (RR, QOS, FRAME_QOS and
+QOS_RB's checks) walk all of them.
 
 `next_try`.  A scan that finds nothing ready sets `next_try` to the
 earliest cached issue cycle of the channel.  An enqueue resets it only when
@@ -46,7 +48,6 @@ the group's issue cycle, which `next_try` already counts.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
@@ -59,17 +60,12 @@ QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
 NUM_QUEUES = len(QUEUE_NAMES)
 
 
-def _arrival_key(txn: Transaction):
-    return (txn.t_enqueued, txn.seq)
-
-
 def _oldest(groups) -> Transaction:
     """The oldest transaction of `groups`: the oldest of their heads."""
     best = None
     for group in groups:
         txn = group.txns[0]
-        if best is None or txn.t_enqueued < best.t_enqueued or (
-                txn.t_enqueued == best.t_enqueued and txn.seq < best.seq):
+        if best is None or txn.seq < best.seq:
             best = txn
     return best
 
@@ -147,15 +143,10 @@ class ControllerState:
         self._seq += 1
         groups, key = self._groups[txn.channel], group_key(txn)
         group = groups.get(key)
-        if group is None:
-            # a joining transaction shares its group's issue cycle, which
-            # next_try already counts
+        if group is None:  # see `next_try` in the module docstring
             group = groups[key] = _Group()
             self.next_try[txn.channel] = 0
-        if group.txns and now < group.txns[-1].t_enqueued:
-            insort(group.txns, txn, key=_arrival_key)
-        else:
-            group.txns.append(txn)
+        group.txns.append(txn)
         self.held[qi] += 1
         self.occupancy += 1
         return True
@@ -212,12 +203,8 @@ class ControllerState:
                 qi = txn.queue
                 if rank > ranks[qi]:
                     ranks[qi], picks[qi] = rank, txn
-                elif rank == ranks[qi]:
-                    pick = picks[qi]
-                    if txn.t_enqueued < pick.t_enqueued or (
-                            txn.t_enqueued == pick.t_enqueued
-                            and txn.seq < pick.seq):
-                        picks[qi] = txn
+                elif rank == ranks[qi] and txn.seq < picks[qi].seq:
+                    picks[qi] = txn
         top = max(ranks)
         self.rr_pointer = next_in_turn(
             [qi for qi, rank in enumerate(ranks) if rank == top],
@@ -231,7 +218,7 @@ class ControllerState:
 
     def _boosted_first(self, ready, hits, boosted) -> Transaction:
         mine = [t for g in ready for t in g.txns if t.source in boosted]
-        return min(mine, key=_arrival_key) if mine else _oldest(ready)
+        return min(mine, key=lambda t: t.seq) if mine else _oldest(ready)
 
     def _row_hits_first(self, ready, hits, boosted) -> Transaction:
         return _oldest(hits or ready)

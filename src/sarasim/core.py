@@ -58,5 +58,5 @@ class Transaction:
     bank: int = 0
     row: int = 0
     queue: int = 0  # controller queue index, assigned on arrival
-    seq: int = -1  # controller arrival sequence, the FCFS tie-break
+    seq: int = -1  # controller arrival order, counted by enqueue
     t_hop: int = -1  # cycle the txn entered its current NoC queue

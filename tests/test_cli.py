@@ -2,6 +2,7 @@
 
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +175,7 @@ def test_bad_frame_period_input_is_config_error(tmp_path, capsys, key,
 
 def case_b_with(tmp_path, dma, key, value):
     """Case B with `key` of DMA `dma` set to `value`."""
-    text = open(CASE_B, encoding="utf-8").read()
+    text = Path(CASE_B).read_text(encoding="utf-8")
     text, n = re.subn(rf"(\[dma {dma}\][^[]*?^{key} = )[^\n]*",
                       rf"\g<1>{value}", text, count=1, flags=re.M)
     assert n == 1
@@ -228,7 +229,7 @@ def test_nonfinite_float_or_negative_rate_is_config_error(tmp_path, capsys,
 def test_nonpositive_window_or_aging_period_is_config_error(tmp_path, capsys,
                                                             old, new, named):
     # a DMA's window_cycles = 0 means the global meter_window_cycles
-    text = open(CASE_B, encoding="utf-8").read()
+    text = Path(CASE_B).read_text(encoding="utf-8")
     assert old in text
     cfg = tmp_path / "case_b.cfg"
     cfg.write_text(text.replace(old, new))
@@ -267,7 +268,7 @@ def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
     ("queue_depth = 64", "queue_depth = -1", "improc")])
 def test_bad_dram_controller_or_noc_value_is_config_error(tmp_path, capsys,
                                                           old, new, named):
-    text = open(CASE_B, encoding="utf-8").read()
+    text = Path(CASE_B).read_text(encoding="utf-8")
     assert old in text
     cfg = tmp_path / "case_b.cfg"
     cfg.write_text(text.replace(old, new, 1))
@@ -281,7 +282,7 @@ def test_bad_dram_controller_or_noc_value_is_config_error(tmp_path, capsys,
 def test_empty_region_is_config_error(tmp_path, capsys):
     # dsp jumps to a random address of its region on 80% of its requests
     cfg = case_b_with(tmp_path, "dsp", "region_len_kb", "0")
-    assert "locality = 0.2" in open(cfg, encoding="utf-8").read()
+    assert "locality = 0.2" in Path(cfg).read_text(encoding="utf-8")
     rc = main(["run", "-c", cfg, "--duration", "3000",
                "-o", str(tmp_path / "out")])
     assert rc == EXIT_CONFIG
@@ -301,7 +302,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, in_file):
     # numpy's SeedSequence takes no negative entropy
     if in_file:
         path = tmp_path / "case_b.cfg"
-        path.write_text(open(CASE_B, encoding="utf-8").read()
+        path.write_text(Path(CASE_B).read_text(encoding="utf-8")
                         .replace("seed = 7", "seed = -1"))
         argv = ["run", "-c", str(path)]
     else:
@@ -335,7 +336,7 @@ def test_malformed_frequency_is_config_error(tmp_path, capsys):
 def test_negative_warmup_is_config_error(tmp_path, capsys):
     # the summary window would start before cycle 0, and every mean
     # bandwidth would be divided by cycles that never ran
-    text = open(CASE_B, encoding="utf-8").read()
+    text = Path(CASE_B).read_text(encoding="utf-8")
     assert "warmup_cycles = 12000" in text
     path = tmp_path / "case_b.cfg"
     path.write_text(text.replace("warmup_cycles = 12000",

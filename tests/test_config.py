@@ -148,12 +148,30 @@ latency_limit_cycles = 500
 
     @pytest.mark.parametrize("key,value", [
         ("read_fraction", 1.5), ("locality", -0.1), ("kind", "bogus"),
-        ("pace_boost", 0.0), ("buffer_kb", 0.0)])
+        ("pace_boost", 0.0), ("buffer_kb", 0.0),
+        # non-finite values, which the text parser cannot produce
+        ("frame_kb", math.inf), ("rate_mbps", math.inf),
+        ("pace_boost", math.inf), ("buffer_kb", math.inf),
+        ("target_mbps", math.nan), ("latency_limit_cycles", math.inf),
+        ("reference_slope", math.inf),
+        pytest.param("lut", (math.inf, 1.8, 1.6, 1.45, 1.3, 1.2, 1.1, 0.0),
+                     id="lut-inf-first")])
     def test_out_of_range_dma_value_names_the_dma(self, key, value):
         cfg = load_packaged_scenario("B")
         display = next(e for e in cfg.dmas if e.dma_id == "display")
         setattr(display, key, value)
         with pytest.raises(ValidationError, match=f"^display: .*{key}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("text", ["a#b", "a\nb", " a", "a "])
+    @pytest.mark.parametrize("field,label", [
+        ("name", "name"), ("dma_id", "dma id"), ("core", "display: core")])
+    def test_unwritable_text_names_the_field(self, field, label, text):
+        cfg = load_packaged_scenario("B")
+        display = next(e for e in cfg.dmas if e.dma_id == "display")
+        setattr(cfg if field == "name" else display, field, text)
+        expect = f"^{label} {re.escape(repr(text))} cannot be written back"
+        with pytest.raises(ValidationError, match=expect):
             cfg.validate()
 
 
@@ -240,6 +258,11 @@ CASES = ("A", "B", "sweep")
 CASE_TEXT = {case: resources.files("sarasim.scenarios").joinpath(
     f"case_{case.lower()}.cfg").read_text() for case in CASES}
 KEY_LINE = re.compile(r"^(\w+ = ).*$", re.M)
+# texts that emit_config can write back as one `key = value` line: no `#`,
+# no line break (str.splitlines's) and no surrounding whitespace
+ONE_LINE = st.text(st.characters(
+    exclude_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+).map(str.strip)
 
 
 class TestRoundTripProperties:
@@ -263,7 +286,7 @@ class TestRoundTripProperties:
         cfg = load_packaged_scenario(case)
         draw = data.draw
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        cfg.name = draw(st.text())
+        cfg.name = draw(ONE_LINE)
         cfg.seed = draw(st.integers(0, 2 ** 64))
         cfg.warmup_cycles = draw(st.integers(0, 10 ** 6))
         cfg.fps = draw(st.floats(1.0, 240.0))
@@ -277,9 +300,13 @@ class TestRoundTripProperties:
         cfg.noc_cluster_depth = draw(st.none() | st.integers(0, 64))
         cfg.dram.tRCD = draw(st.integers(1, 100))
         cfg.dram.channels = draw(st.sampled_from((1, 2, 4)))
-        for e in cfg.dmas:
-            e.dma_id = draw(st.just(e.dma_id) | st.text())
-            e.core = draw(st.just(e.core) | st.text())
+        n = len(cfg.dmas)
+        ids = draw(st.lists(st.sampled_from([e.dma_id for e in cfg.dmas])
+                            | ONE_LINE.filter(bool),
+                            min_size=n, max_size=n, unique=True))
+        for e, dma_id in zip(cfg.dmas, ids):
+            e.dma_id = dma_id
+            e.core = draw(st.just(e.core) | ONE_LINE)
             e.target_mbps = draw(finite)
             # ranges that validate() accepts: every pace earns a
             # transaction, and no reference underflows to zero

@@ -158,8 +158,8 @@ def reference_policy2(ctrl, dram, ready):
 
 def random_state(rng, policy):
     """A controller holding 1 to 8 ready transactions in at most 12 groups
-    (half of the states have a group of several), enqueued at cycles that
-    run back and forth in `seq`, so enqueue inserts in order."""
+    (half of the states have a group of several), enqueued in ascending
+    order of their drawn cycles, ties in draw order."""
     dram = DramModel(DramTimingConfig())
     ctrl = make_controller(policy=policy, delta=int(rng.integers(1, 8)))
     ctrl.rr_pointer = int(rng.integers(NUM_QUEUES))
@@ -168,7 +168,7 @@ def random_state(rng, policy):
         if rng.random() < 0.7:
             dram.banks[0][0][bank].open_row = int(rng.integers(3))
     n = int(rng.integers(1, 9))  # at most 8 ready transactions
-    ready = []
+    drawn = []
     for i in range(n):
         t = make_txn(dram, id=i,
                      queue=int(rng.integers(NUM_QUEUES)),
@@ -177,9 +177,11 @@ def random_state(rng, policy):
                      row=int(rng.integers(3)),
                      aged=bool(rng.random() < 0.15),
                      created=int(rng.integers(100)))
-        ctrl.enqueue(t, int(rng.integers(100, 200)))
-        ready.append(t)
-    return dram, ctrl, ready
+        drawn.append((int(rng.integers(100, 200)), t))
+    drawn.sort(key=lambda pair: pair[0])
+    for at, t in drawn:
+        ctrl.enqueue(t, at)
+    return dram, ctrl, [t for _, t in drawn]
 
 
 class TestOracleEquivalence:
@@ -247,14 +249,15 @@ LIST_RULES = {  # policy -> rule(ctrl, ready, hits, boosted)
 ENQUEUE = st.tuples(st.just("enqueue"), st.integers(0, 2),  # bank
                     st.integers(0, 2), st.integers(0, NUM_QUEUES - 1),
                     st.integers(0, 7), st.booleans(),  # priority, aged
-                    st.integers(-30, 5))  # enqueue cycle - now
+                    st.integers(0, 5))  # cycles to wait, then enqueue
 SELECT = st.tuples(st.just("select"), st.integers(0, 60))  # cycles to wait
 
 
 class TestGroupRules:
-    """Each group stays in arrival order under enqueues at any cycle, and
-    every select rule, reading the ready groups, chooses what the
-    transaction-list rule chooses on the same ready transactions."""
+    """Each group stays in arrival order under enqueues and selects at
+    nondecreasing cycles, and every select rule, reading the ready groups,
+    chooses what the transaction-list rule chooses on the same ready
+    transactions."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=150, deadline=None)
@@ -268,9 +271,10 @@ class TestGroupRules:
         now = 100
         for i, op in enumerate(ops):
             if op[0] == "enqueue":
-                _, bank, row, queue, priority, aged, at = op
+                _, bank, row, queue, priority, aged, wait = op
+                now += wait
                 ctrl.enqueue(make_txn(dram, i, queue, priority, bank, row,
-                                      aged=aged), now + at)
+                                      aged=aged), now)
             else:
                 now += op[1]
                 held = resident(ctrl)

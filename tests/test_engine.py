@@ -10,7 +10,7 @@ from sarasim import engine, metrics, traffic
 from sarasim.cli import write_npi_csv, write_summary_csv
 from sarasim.config import (emit_config, load_packaged_scenario, parse_config,
                             with_policy)
-from sarasim.controller import QUEUE_NAMES
+from sarasim.controller import POLICIES, QUEUE_NAMES, ControllerState
 from sarasim.dram import NEVER
 from sarasim.noc import NocFabric
 
@@ -647,3 +647,32 @@ class TestIdleDmaIndependence:
             n = min(len(stream), len(grown[dma]))
             assert n > 0, dma
             assert grown[dma][:n] == stream[:n], dma
+
+
+class TestArrivalOrder:
+    """`World` keeps the caller contract of `ControllerState`: it enqueues
+    and selects at nondecreasing cycles, so `seq` order is arrival order
+    and `enqueue` may only append."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("case", ["A", "B", "sweep", "contended"])
+    def test_enqueue_and_select_cycles_never_decrease(self, monkeypatch,
+                                                      case, policy):
+        calls = []  # (cycle, "enqueue" or "select") of each call
+        enqueue, select = ControllerState.enqueue, ControllerState.select
+
+        def recording_enqueue(ctrl, txn, now):
+            calls.append((now, "enqueue"))
+            return enqueue(ctrl, txn, now)
+
+        def recording_select(ctrl, dram, channel, now, *rest):
+            calls.append((now, "select"))
+            return select(ctrl, dram, channel, now, *rest)
+        monkeypatch.setattr(ControllerState, "enqueue", recording_enqueue)
+        monkeypatch.setattr(ControllerState, "select", recording_select)
+        cfg = (parse_config(CONTENDED) if case == "contended"
+               else load_packaged_scenario(case))
+        engine.run(with_policy(cfg, policy), duration_cycles=30_000)
+        cycles = [now for now, _ in calls]
+        enqueued = {now for now, name in calls if name == "enqueue"}
+        assert len(enqueued) > 1 and cycles == sorted(cycles)
