@@ -422,8 +422,12 @@ def emit_config(cfg: ScenarioConfig) -> str:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return parse_config(text)
 
 
 def load_packaged_scenario(case: str) -> ScenarioConfig:

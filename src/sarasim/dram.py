@@ -64,6 +64,8 @@ class DramTimingConfig:
             v = getattr(self, name)
             if v <= 0 or v & (v - 1):
                 raise ValueError(f"{name} must be a positive power of two")
+        if self.column_bits < 0:
+            raise ValueError("column_bits is negative")
 
 
 def service_latency(classification: int, timing: DramTimingConfig) -> int:

@@ -76,7 +76,7 @@ class Generator:
         self._next_id = id_base
         if spec.source_kind == LATENCY_PROBE and self.rate_per_cycle > 0:
             mean = TXN_SIZE_BYTES / self.rate_per_cycle
-            self.state.next_probe_cycle = float(rng.exponential(mean))
+            self.state.next_probe_cycle = rng.exponential(mean)
 
     # -- address stream ----------------------------------------------------
 
@@ -86,7 +86,7 @@ class Generator:
         size = TXN_SIZE_BYTES
         if self.spec.locality < 1.0 and self.rng.random() >= self.spec.locality:
             slots = length // size
-            addr = base + int(self.rng.integers(slots)) * size
+            addr = base + self.rng.integers(slots) * size
         nxt = addr + size
         if nxt >= base + length:
             nxt = base
@@ -155,7 +155,7 @@ class Generator:
             mean = size / self.rate_per_cycle
             while st.next_probe_cycle <= now:
                 st.pending_probes += 1
-                st.next_probe_cycle += float(self.rng.exponential(mean))
+                st.next_probe_cycle += self.rng.exponential(mean)
             while st.pending_probes > 0 and len(out) < space:
                 out.append(self._make(now, priority))
                 st.pending_probes -= 1

@@ -87,6 +87,23 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["run", "echo-config"])
+@pytest.mark.parametrize("kind", ["directory", "utf16"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, verb, kind):
+    # both used to exit 2 with a bare OSError or UnicodeDecodeError
+    path = tmp_path / "case_b.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + "seed = 7\n".encode("utf-16-le"))
+    argv = [verb, "-c", str(path)]
+    if verb == "run":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_malformed_config_is_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("tRCDD = 34\n")
@@ -279,6 +296,19 @@ def test_bad_dram_controller_or_noc_value_is_config_error(tmp_path, capsys,
     assert named in err and "Traceback" not in err
 
 
+def test_negative_column_bits_is_config_error(tmp_path, capsys):
+    # AddressMap shifted by it and the run exited 2
+    text = Path(CASE_B).read_text(encoding="utf-8")
+    assert "column_bits" not in text
+    cfg = tmp_path / "case_b.cfg"
+    cfg.write_text(text.replace("[dram]\n", "[dram]\ncolumn_bits = -1\n", 1))
+    rc = main(["run", "-c", str(cfg), "--duration", "3000",
+               "-o", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[dram] column_bits" in err and "Traceback" not in err
+
+
 def test_empty_region_is_config_error(tmp_path, capsys):
     # dsp jumps to a random address of its region on 80% of its requests
     cfg = case_b_with(tmp_path, "dsp", "region_len_kb", "0")
@@ -299,7 +329,7 @@ def test_misspelt_direction_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("in_file", [True, False])
 def test_negative_seed_is_config_error(tmp_path, capsys, in_file):
-    # numpy's SeedSequence takes no negative entropy
+    # the streams' SeedSequence, like numpy's, takes no negative entropy
     if in_file:
         path = tmp_path / "case_b.cfg"
         path.write_text(Path(CASE_B).read_text(encoding="utf-8")
