@@ -13,9 +13,9 @@ Policies:
             above the urgency threshold delta
   FR_FCFS   ready row-hits first, FCFS among them, FCFS otherwise
 
-Aged transactions outrank every priority level until completed; aging is
-active only under QOS and QOS_RB.  `POLICY` describes each policy once, as
-one `Policy` record that the engine, the NoC and this controller all read.
+Aged transactions rank alike, above every level (`core.rank`), until completed;
+aging runs only under QOS and QOS_RB.  `POLICY` describes each policy once,
+as one `Policy` record that the engine, the NoC and this controller all read.
 
 Arrival order.  The caller uses one `DramModel` and enqueues and scans at
 nondecreasing cycles, as `World` does, so the enqueue count `seq` is
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import noc
-from .core import PRIORITY_LEVELS, Transaction, age_queues, next_in_turn
+from .core import Transaction, age_queues, next_in_turn, rank
 from .dram import NEVER, ROW_HIT, DramModel
 
 QUEUE_NAMES = ("cpu", "gpu", "dsp", "media", "system")
@@ -198,16 +198,15 @@ class ControllerState:
         ranks, picks = [-1] * NUM_QUEUES, [None] * NUM_QUEUES
         for group in ready:
             for txn in group.txns:
-                rank = ((PRIORITY_LEVELS if txn.aged else txn.priority)
-                        if ranked else 0)
+                r = rank(txn) if ranked else 0
                 qi = txn.queue
-                if rank > ranks[qi]:
-                    ranks[qi], picks[qi] = rank, txn
-                elif rank == ranks[qi] and txn.seq < picks[qi].seq:
+                if r > ranks[qi]:
+                    ranks[qi], picks[qi] = r, txn
+                elif r == ranks[qi] and txn.seq < picks[qi].seq:
                     picks[qi] = txn
         top = max(ranks)
         self.rr_pointer = next_in_turn(
-            [qi for qi, rank in enumerate(ranks) if rank == top],
+            [qi for qi, r in enumerate(ranks) if r == top],
             self.rr_pointer)
         return picks[self.rr_pointer]
 

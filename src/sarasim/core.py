@@ -30,6 +30,11 @@ def next_in_turn(indices, pointer: int) -> int:
     return indices[0]
 
 
+def rank(txn) -> int:
+    """Arbitration rank: the priority level, or above every level if aged."""
+    return PRIORITY_LEVELS if txn.aged else txn.priority
+
+
 def age_queues(queues, now: int, period: int) -> None:
     """The one aging sweep: mark aged every queued transaction created at
     least `period` cycles before `now`."""

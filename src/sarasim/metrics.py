@@ -126,13 +126,14 @@ def policy_comparison(reports: dict) -> list:
     rows = []
     for policy in reports:
         report = reports[policy]
+        total = report.total_bandwidth()
         for dma_id in report.dma_order:
             rows.append(PolicySummaryRow(
                 policy=policy,
                 dma_id=dma_id,
                 min_npi=report.min_npi(dma_id),
                 mean_bw_bytes_s=report.mean_bandwidth(dma_id),
-                total_bw_bytes_s=report.total_bandwidth(),
+                total_bw_bytes_s=total,
                 row_hit_rate=report.row_hit_rate,
             ))
     return rows

@@ -8,9 +8,8 @@ propagates without loss.  Per-DMA FIFO order is preserved end-to-end: each
 cluster keeps a single output FIFO whose head is eligible only at the root
 of its target channel.
 
-Arbitration modes: "priority" (aged flag first, then priority level,
-round-robin tie-break), "fcfs" (oldest head by creation time) and "rr"
-(priority-blind round-robin).
+Arbitration modes: "priority" (highest `core.rank`, round-robin tie-break),
+"fcfs" (oldest head by creation time) and "rr" (priority-blind round-robin).
 
 Memo.  Each node keeps the ports it last kept (under FCFS its one winner)
 and the cycle it built them, and rebuilds them in one pass over its ports
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import PRIORITY_LEVELS, Transaction, age_queues, next_in_turn
+from .core import Transaction, age_queues, next_in_turn, rank
 from .dram import NEVER
 
 PRIORITY = "priority"
@@ -103,14 +102,14 @@ class ArbiterNode:
                 head = q[0]
                 if head.t_hop < now and (ch is None or head.channel == ch):
                     if mode == PRIORITY:
-                        rank = head.priority + PRIORITY_LEVELS * head.aged
+                        r = rank(head)
                     elif mode == FCFS:
-                        rank = -head.t_created
+                        r = -head.t_created
                     else:
-                        rank = 0
-                    if rank > best:
-                        kept, best = [i], rank
-                    elif rank == best and mode != FCFS:
+                        r = 0
+                    if r > best:
+                        kept, best = [i], r
+                    elif r == best and mode != FCFS:
                         kept.append(i)
         self.kept, self.built = kept, now
 

@@ -113,6 +113,14 @@ class TestAging:
         c.enqueue(new, 0)
         assert c.select(dram, 0, 0) is old
 
+    def test_aged_alike_whatever_their_priority(self):
+        dram, c = model(), make_controller(policy="QOS")
+        for qi, priority in enumerate((7, 0, 7)):
+            c.enqueue(make_txn(dram, qi, queue=qi, priority=priority,
+                               bank=qi, aged=True), 0)
+        served = [c.select(dram, 0, now).queue for now in (0, 1, 2)]
+        assert served == [1, 2, 0]  # queue turn from rr_pointer 0
+
 
 # -- brute-force policy references -------------------------------------------
 

@@ -472,6 +472,63 @@ region_len_kb = 64
 """
 
 
+# sha256 of the NPI and summary CSVs of CONTENDED and CLUSTERED run for
+# 20,000 cycles, as recorded once the NoC and the controller ranked aged
+# requests alike; aging marks about 500-700 transactions in each QOS and
+# QOS_RB run, and no case-A run ages one
+AGING_DIGESTS = {
+    ("CONTENDED", "FCFS"): (
+        "b09f2fb14034ba511aed2691aea83b575c82bc2fe70a985f8fa716be2621e134",
+        "2316805a48da040df7956e6f360d5a93c8fa4dce902df3730279926b2cecc2c5"),
+    ("CONTENDED", "RR"): (
+        "2645f6ef24e36676fb32156de28e3557fc4d6afeb3e61e99e51036d531de89d9",
+        "57bb40474118c6a5896e0173b9b521103472f588d7878fcffde7f9dd81d61218"),
+    ("CONTENDED", "FRAME_QOS"): (
+        "1f1dd2395c2af3a12fde8a8503970ac675a741cef160682f924a779c60f0fb47",
+        "6eab04b3918405d13fc32e05b42e9cd963f90185d23cff7a29aa719bbb58c491"),
+    ("CONTENDED", "QOS"): (
+        "6d0d602378646ae32cffb6061d9099dced2a52601213018d6ab6e6e29693e3f7",
+        "8266eb5e260e23c6beed72716873b4cdf7cf9ced22c038fe341f7a170363d454"),
+    ("CONTENDED", "QOS_RB"): (
+        "f528bf70b55843c6384261973dd0fae7eadb2d5ed313d90b000a300914b717b4",
+        "b31d42f09f4b84fba0e45d73b19b8086c410fb32acc438ffe6d22c87e7e365d8"),
+    ("CONTENDED", "FR_FCFS"): (
+        "c6e4d160c7e9875205c2bbd5a8062a36f5433fa73bb0f11fe80497504bc0bfa7",
+        "facfca7688ddd6d6836c7a0374fcd19422eea8139e5ff43136796d8f8a1f1d94"),
+    ("CLUSTERED", "FCFS"): (
+        "cd09fc50743d66ba50c95aaf4759c281ffa39d11bb5acb132f0ab7739cd6b537",
+        "b725f22b908cc4639b553afbfc5aa4253694cc4708769ed830df1565a5ebe5ea"),
+    ("CLUSTERED", "RR"): (
+        "da5b6d66aceb3d9123fd32c050bd2691c0f43eb47d78362592f3ee3200a90992",
+        "37d3758fc1dc599e6ee854f9e5032130b8dac168ad99d68e42248271d5bd4812"),
+    ("CLUSTERED", "FRAME_QOS"): (
+        "a0338b6585e2eff7ce7e1f51e12c9936b53a897787d80be8229ddcdaa5f4c63f",
+        "b1f12f672a289845a793e2a0e7c259a98193fe21960121385d07cff18b9dbe74"),
+    ("CLUSTERED", "QOS"): (
+        "5498f59d9a7be01315e4dce9481d229520d7fdd03591d50e6604a09cc8203177",
+        "65e12986691ceeb30ffaed506aca6caae040822f3aa634abe8ee161a34cd6534"),
+    ("CLUSTERED", "QOS_RB"): (
+        "eeffc43f5786e251cc7b8e5a4467a305abcea28456c564a236f847fb333bff8c",
+        "ead5bc2e249822cc0e14c3c0eb0635cc98f573ef8fa92e305fc4dc0d10721f8b"),
+    ("CLUSTERED", "FR_FCFS"): (
+        "dd7e768cc9e8300bff4614944be08787c806f93e1c0300d3fa34b0b105825f5b",
+        "02090d1e1c5f7d963f6bba0d2fc72a91ff8d712460f74d248e1c070a5f01c75c"),
+}
+
+
+@pytest.mark.parametrize("scenario,policy", list(AGING_DIGESTS))
+def test_aging_outputs_match_recorded_digests(tmp_path, scenario, policy):
+    text = {"CONTENDED": CONTENDED, "CLUSTERED": CLUSTERED}[scenario]
+    report = engine.run(with_policy(parse_config(text), policy),
+                        duration_cycles=20_000)
+    npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
+    write_npi_csv(npi, report)
+    write_summary_csv(summary, metrics.policy_comparison({policy: report}))
+    assert (hashlib.sha256(npi.read_bytes()).hexdigest(),
+            hashlib.sha256(summary.read_bytes()).hexdigest()
+            ) == AGING_DIGESTS[scenario, policy]
+
+
 class TestRootMemo:
     """Each root's kept ports, cached until a head enters an empty queue it
     reads, a grant, an epoch's re-levelling or aging, must equal those

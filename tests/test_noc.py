@@ -19,7 +19,9 @@ def keep(ports, eligible, mode: str) -> list:
     granted.
 
     FCFS keeps the oldest head (lowest index on a tie), PRIORITY the ports
-    whose head ranks highest by (aged, priority) and RR them all.
+    whose head ranks highest and RR them all.  An aged head ranks above
+    every priority level and all aged heads rank alike; an unaged head
+    ranks by its priority level.
     """
     if not eligible or mode == ROUND_ROBIN:
         return eligible
@@ -28,7 +30,7 @@ def keep(ports, eligible, mode: str) -> list:
     kept, best = [], -1
     for i in eligible:
         head = ports[i][0]
-        rank = head.priority + PRIORITY_LEVELS * head.aged
+        rank = PRIORITY_LEVELS if head.aged else head.priority
         if rank > best:
             kept, best = [i], rank
         elif rank == best:
@@ -70,6 +72,18 @@ class TestArbiterNode:
         node.offer(1, make_txn(2, priority=7), 0)
         assert node.arbitrate(1) == 0
 
+    def test_aged_heads_alike_whatever_their_priority(self):
+        node = ArbiterNode("n", 2)
+        node.offer(0, make_txn(1, priority=7, aged=True), 0)
+        node.offer(1, make_txn(2, priority=0, aged=True), 0)
+        node.offer(1, make_txn(3, priority=0, aged=True), 0)
+        grants = []
+        for now in (1, 2, 3):
+            port = node.arbitrate(now)
+            grants.append(port)
+            node.grant(port)
+        assert grants == [1, 0, 1]  # round-robin turn from rr_pointer 0
+
     def test_fcfs_mode_grants_oldest(self):
         node = ArbiterNode("n", 2, mode=FCFS)
         node.offer(0, make_txn(1, priority=7, created=50), 0)
@@ -105,14 +119,16 @@ class TestArbiterNode:
 
 
 def modular_loop_rule(ports, eligible, rr_pointer, mode):
-    """The arbitration rule pick replaced: (winner, new rr_pointer)."""
+    """The arbitration rule as a loop over the ports in turn after
+    `rr_pointer`, among the highest-ranked `eligible` ones (aged heads
+    alike, above every priority level): (winner, new rr_pointer)."""
     if mode == FCFS:
         return min(eligible, key=lambda i: (ports[i][0].t_created, i)), \
             rr_pointer
 
     def rank(i):
         head = ports[i][0]
-        return (1 if head.aged else 0, head.priority)
+        return (1, 0) if head.aged else (0, head.priority)
     if mode == PRIORITY:
         best = max(rank(i) for i in eligible)
         eligible = [i for i in eligible if rank(i) == best]

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from sarasim.controller import QUEUE_NAMES, ControllerState
-from sarasim.core import READ, Transaction
+from sarasim.core import READ, Transaction, age_queues
 from sarasim.dram import DramModel, DramTimingConfig
+from sarasim.noc import ArbiterNode
 
 T_AGING = 10_000
 WORST_ACCESS = 34 + 34 + 36 + 8  # row-miss: tRP + tRCD + CL + tBURST = 112
@@ -86,3 +87,49 @@ def test_bound_is_exercised_not_vacuous(worst):
     # the flood really does delay the victim far beyond a few accesses;
     # it is only the scheduler (timing stalls plus aging) that frees it
     assert worst > 4 * WORST_ACCESS
+
+
+class TestNocArbiter:
+    """The same argument at one NoC arbiter with N ports that grants once
+    every G cycles, aged every T cycles.  A head that arrives right after
+    an aging pass is aged within 2T cycles.  Aged heads rank alike, above
+    every priority level, so from then on round-robin puts at most the
+    other N - 1 ports' heads before it, one per grant, and it is granted
+    within N grants:
+
+        wait <= 2*T + N*G = 900   for T = 250, N = 4, G = 100.
+    """
+
+    T_AGING, PORTS, GRANT_GAP = 250, 4, 100
+    BOUND = 2 * T_AGING + PORTS * GRANT_GAP  # 900
+
+    def victim_wait(self, cycles=20_000):
+        """Ports 1-3 refilled with priority-7 heads on every cycle versus
+        one priority-0 victim on port 0, created at cycle 1; the victim's
+        wait, or None if it is never granted."""
+        node = ArbiterNode("flooded", self.PORTS, depth=8)
+        victim = Transaction(id=0, source="victim", kind=READ, address=0,
+                             priority=0, t_created=1)
+        next_id = 1
+        for now in range(cycles):
+            if now == 1:
+                node.offer(0, victim, now)
+            for port in range(1, self.PORTS):
+                while node.offer(port, Transaction(
+                        id=next_id, source=f"flood{port}", kind=READ,
+                        address=0, priority=7, t_created=now), now):
+                    next_id += 1
+            if now and now % self.T_AGING == 0:  # as NocFabric.age_resident
+                age_queues(node.ports, now, self.T_AGING)
+                node.stale_from = max(node.stale_from, now)
+            if now % self.GRANT_GAP == 0:
+                port = node.arbitrate(now)
+                if port is not None and node.grant(port) is victim:
+                    return now - victim.t_created
+        return None
+
+    def test_flood_cannot_starve_a_low_priority_head(self):
+        wait = self.victim_wait()
+        assert wait is not None, "victim never granted"
+        # the flood holds the victim until it is aged, and no longer
+        assert self.T_AGING < wait <= self.BOUND
