@@ -20,7 +20,8 @@ import sys
 
 from . import engine, metrics
 from .config import (ParseError, ScenarioConfig, ValidationError, emit_config,
-                     load_config, with_frequency, with_policy)
+                     load_config, load_packaged_scenario, with_frequency,
+                     with_policy)
 from .controller import POLICIES
 from .core import PRIORITY_LEVELS
 
@@ -63,7 +64,9 @@ def write_sweep_csv(path: str, rows) -> None:
 
 
 def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config)
+    path = args.config  # a file, else a shipped scenario's name
+    cfg = (load_packaged_scenario(path) if path in ("A", "B", "sweep")
+           and not os.path.exists(path) else load_config(path))
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "duration", None) is not None:
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, output=True):
         p.add_argument("-c", "--config", required=True,
-                       help="scenario config file")
+                       help="scenario config file, or A, B or sweep")
         p.add_argument("--seed", type=int, help="override scenario seed")
         p.add_argument("--duration", type=int,
                        help="override duration in cycles")

@@ -4,7 +4,9 @@ The model enforces per-bank command windows (tRCD, tRP, tRTP, tWR, tWTR),
 per-rank activate spacing (tRRD, tFAW) and a shared data bus per channel:
 every access reserves a tBURST-cycle data window, and windows on one channel
 may never overlap (they may be granted out of order, so activate/precharge
-work in one bank overlaps data transfer from another).
+work in one bank overlaps data transfer from another).  Bus cycles before a
+channel's last issue count as free, which is exact for every window asked
+for while calls come at nondecreasing cycles, as `controller.py` requires.
 
 A whole command sequence (optional PRE, optional ACT, then RD/WR) is issued
 atomically; `issue` re-checks `earliest_issue`, so an IllegalIssue can only
@@ -18,9 +20,7 @@ precharge.  Refresh is not modeled.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .core import READ, TXN_SIZE_BYTES, Transaction
 
@@ -134,34 +134,33 @@ class BankState:
 
 
 class _ChannelBus:
-    """Non-overlapping future data windows, granted in any order.  They are
-    kept sorted by start, and so, being disjoint, by end too."""
+    """Non-overlapping data windows, granted in any order.  Bit i of `busy`
+    marks cycle `base + i` busy; cycles before `base` count as free, so
+    `earliest` is exact for windows that start at or after the last prune."""
 
-    __slots__ = ("windows", "burst")
+    __slots__ = ("busy", "base", "burst", "span")
 
     def __init__(self, burst: int):
-        self.windows = []  # sorted (start, end)
+        self.busy = self.base = 0
         self.burst = burst
+        self.span = (1 << burst) - 1  # one burst of bits
 
     def prune(self, now: int) -> None:
-        del self.windows[:bisect_right(self.windows, now, key=itemgetter(1))]
+        if now > self.base:
+            self.busy >>= now - self.base
+            self.base = now
 
     def earliest(self, completion: int) -> int:
         """Smallest legal completion cycle >= `completion`."""
-        burst = self.burst
-        start = completion - burst
-        windows = self.windows
-        # only the windows ending after `start` can delay it: the last few
-        i = n = len(windows)
-        while i and windows[i - 1][1] > start:
-            i -= 1
-        while i < n and windows[i][0] < start + burst:
-            start = windows[i][1]
-            i += 1
-        return start + burst
+        while True:
+            i = completion - self.burst - self.base  # burst start - base
+            clash = (self.busy << -i if i < 0 else self.busy >> i) & self.span
+            if not clash:
+                return completion
+            completion += clash.bit_length()  # past the last busy cycle
 
     def reserve(self, completion: int) -> None:
-        insort(self.windows, (completion - self.burst, completion))
+        self.busy |= self.span << (completion - self.burst - self.base)
 
 
 class DramModel:
@@ -173,8 +172,8 @@ class DramModel:
         self.banks = [[[BankState() for _ in range(timing.banks)]
                        for _ in range(timing.ranks)]
                       for _ in range(timing.channels)]
-        # last 4 activate times per (channel, rank), newest last
-        self.rank_activates = [[[] for _ in range(timing.ranks)]
+        # last 4 activate times per (channel, rank), newest last; -NEVER: none
+        self.rank_activates = [[(-NEVER,) * 4] * timing.ranks
                                for _ in range(timing.channels)]
         self.bus = [_ChannelBus(timing.tBURST) for _ in range(timing.channels)]
         # cycles from issue to the end of the data burst, by classification
@@ -199,9 +198,7 @@ class DramModel:
     def _faw_bound(self, channel: int, rank: int) -> tuple:
         """(earliest activate from tRRD, earliest from tFAW)."""
         acts = self.rank_activates[channel][rank]
-        rrd = acts[-1] + self.timing.tRRD if acts else 0
-        faw = acts[-4] + self.timing.tFAW if len(acts) >= 4 else 0
-        return rrd, faw
+        return acts[3] + self.timing.tRRD, acts[0] + self.timing.tFAW
 
     def earliest_issue(self, txn: Transaction, now: int,
                        cls: int | None = None) -> int:
@@ -246,9 +243,8 @@ class DramModel:
             else:
                 t_act = now + t.tRP
                 self.row_misses += 1
-            acts = self.rank_activates[txn.channel][txn.rank]
-            acts.append(t_act)
-            del acts[:-4]
+            acts = self.rank_activates[txn.channel]
+            acts[txn.rank] = acts[txn.rank][1:] + (t_act,)
             bank.open_row = txn.row
             bank.earliest_activate = t_act + t.tRRD
             access = t_act + t.tRCD

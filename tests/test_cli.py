@@ -87,6 +87,33 @@ def test_missing_config_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_packaged_scenario_by_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    by_path, by_name = tmp_path / "path", tmp_path / "name"
+    for cfg, out in ((CASE_B, by_path), ("B", by_name)):
+        assert main(["run", "-c", cfg, "--duration", "3000",
+                     "-o", str(out)]) == EXIT_OK
+    for name in ("npi_QOS.csv", "summary.csv"):
+        assert (by_path / name).read_bytes() == (by_name / name).read_bytes()
+
+
+def test_file_wins_over_packaged_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lut = "1.5,1.4,1.3,1.25,1.2,1.15,1.1,0"
+    (tmp_path / "B").write_text(ONE_DMA.format(lut=lut))
+    assert main(["list-cores", "-c", "B"]) == EXIT_OK
+    assert "scenario one: 1 DMAs" in capsys.readouterr().out
+
+
+def test_unknown_packaged_scenario_is_config_error(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "-c", "C", "-o", str(tmp_path / "out")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read C" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["run", "echo-config"])
 @pytest.mark.parametrize("kind", ["directory", "utf16"])
 def test_unreadable_config_is_config_error(tmp_path, capsys, verb, kind):
