@@ -8,7 +8,8 @@ Verbs:
   echo-config  parse and re-emit a scenario in canonical form
   list-cores   show the DMAs, meters and targets of a scenario
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 configuration error (a malformed command line
+included), 2 runtime error.
 Output files are byte-stable for identical (scenario, seed) inputs.
 """
 
@@ -172,8 +173,16 @@ def cmd_list_cores(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are configuration errors (exit
+    1), not argparse's exit 2; its subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sarasim",
         description="Priority-adaptive MPSoC memory subsystem simulator")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -218,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError, FileNotFoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -13,9 +13,11 @@ Policies:
             above the urgency threshold delta
   FR_FCFS   ready row-hits first, FCFS among them, FCFS otherwise
 
-Aged transactions rank alike, above every level (`core.rank`), until completed;
-aging runs only under QOS and QOS_RB.  `POLICY` describes each policy once,
-as one `Policy` record that the engine, the NoC and this controller all read.
+Aged transactions rank alike, above every level (`core.rank`), until completed.
+`POLICY` describes each policy once, as one `Policy` record that the engine,
+the NoC and this controller all read.  The engine schedules: it calls
+`apply_aging` on each aging boundary (QOS, QOS_RB), sets `boosted` at the
+first epoch (FRAME_QOS) and calls `select(dram, channel, now)`.
 
 Arrival order.  The caller uses one `DramModel` and enqueues and scans at
 nondecreasing cycles, as `World` does, so the enqueue count `seq` is
@@ -88,28 +90,27 @@ class Policy:
     """What one scheduling policy sets in every layer."""
 
     noc_mode: str  # arbitration mode of every NoC node, one of noc.MODES
-    aging: bool  # periodic aging of controller and NoC queues
+    aging: bool  # the engine ages controller and NoC queues periodically
     # media DMAs ride at the top priority level and every other DMA at the
-    # base level, and from the first epoch on the media DMAs are boosted
+    # base level; from the first epoch on the engine boosts them (`boosted`)
     media_first: bool
     # ControllerState select rule, called on the non-empty ready groups as
-    # select(controller, ready groups, their row hits, boosted DMAs)
+    # select(controller, ready groups, their row hits)
     select: Callable
 
 
 class ControllerState:
     def __init__(self, policy: str = "QOS", capacity: int = 42,
-                 aging_period: int = 10000, delta: int = 6,
-                 queue_of_dma: dict | None = None,
+                 delta: int = 6, queue_of_dma: dict | None = None,
                  static_split: bool = False):
         if policy not in POLICY:
             raise ValueError(f"unknown policy {policy}")
         self.policy = POLICY[policy]
         self.capacity = capacity
-        self.aging_period = aging_period
         self.delta = delta
         self.queue_of_dma = dict(queue_of_dma or {})
         self.static_split = static_split
+        self.boosted = frozenset()  # DMAs the FRAME_QOS rule serves first
         self.held = [0] * NUM_QUEUES  # transactions held per queue
         self.occupancy = 0
         self.rr_pointer = 0
@@ -153,10 +154,9 @@ class ControllerState:
 
     # -- aging -------------------------------------------------------------
 
-    def apply_aging(self, now: int) -> None:
-        if self.policy.aging:
-            age_queues((group.txns for groups in self._groups.values()
-                        for group in groups.values()), now, self.aging_period)
+    def apply_aging(self, now: int, period: int) -> None:
+        age_queues((group.txns for groups in self._groups.values()
+                    for group in groups.values()), now, period)
 
     # -- scheduling --------------------------------------------------------
 
@@ -184,14 +184,13 @@ class ControllerState:
                 horizon = at
         return out, hits, horizon
 
-    # select rules, one per policy: (ready groups, their row hits, boosted
-    # DMAs) -> the transaction to issue
+    # select rules, one per policy: (ready groups, their row hits) -> the
+    # transaction to issue
 
-    def _first_come(self, ready, hits, boosted) -> Transaction:
+    def _first_come(self, ready, hits) -> Transaction:
         return _oldest(ready)
 
-    def _priority_round_robin(self, ready, hits, boosted,
-                              ranked=True) -> Transaction:
+    def _priority_round_robin(self, ready, hits, ranked=True) -> Transaction:
         """Policy 1: aged first, then the highest priority, round-robin
         over the queues among those, oldest first within a queue.  Unless
         `ranked` every transaction ranks the same (RR)."""
@@ -210,19 +209,19 @@ class ControllerState:
             self.rr_pointer)
         return picks[self.rr_pointer]
 
-    def _round_robin(self, ready, hits, boosted) -> Transaction:
+    def _round_robin(self, ready, hits) -> Transaction:
         """Oldest ready transaction of the first queue in turn after
         rr_pointer."""
-        return self._priority_round_robin(ready, hits, boosted, False)
+        return self._priority_round_robin(ready, hits, False)
 
-    def _boosted_first(self, ready, hits, boosted) -> Transaction:
-        mine = [t for g in ready for t in g.txns if t.source in boosted]
+    def _boosted_first(self, ready, hits) -> Transaction:
+        mine = [t for g in ready for t in g.txns if t.source in self.boosted]
         return min(mine, key=lambda t: t.seq) if mine else _oldest(ready)
 
-    def _row_hits_first(self, ready, hits, boosted) -> Transaction:
+    def _row_hits_first(self, ready, hits) -> Transaction:
         return _oldest(hits or ready)
 
-    def _row_buffer_aware(self, ready, hits, boosted) -> Transaction:
+    def _row_buffer_aware(self, ready, hits) -> Transaction:
         """Policy 2: the oldest row hit while nothing is aged and nobody is
         above delta (or everyone is at one level), else policy 1."""
         if hits:
@@ -230,17 +229,16 @@ class ControllerState:
             for group in ready:
                 for txn in group.txns:
                     if txn.aged:
-                        return self._priority_round_robin(ready, hits, boosted)
+                        return self._priority_round_robin(ready, hits)
                     if txn.priority > high:
                         high = txn.priority
                     elif txn.priority < low:
                         low = txn.priority
             if low == high or high < self.delta:
                 return _oldest(hits)
-        return self._priority_round_robin(ready, hits, boosted)
+        return self._priority_round_robin(ready, hits)
 
-    def select(self, dram: DramModel, channel: int, now: int,
-               unhealthy: set = frozenset()):
+    def select(self, dram: DramModel, channel: int, now: int):
         """Pick and remove one issuable transaction for `channel`, or None.
 
         When nothing is issuable, `next_try[channel]` is advanced so the
@@ -254,7 +252,7 @@ class ControllerState:
             self.next_try[channel] = horizon
             return None
         self.next_try[channel] = 0  # an issue changes bank and bus state
-        txn = self.policy.select(self, ready, hits, unhealthy)
+        txn = self.policy.select(self, ready, hits)
         self.held[txn.queue] -= 1
         groups, key = self._groups[channel], group_key(txn)
         groups[key].txns.remove(txn)

@@ -136,8 +136,7 @@ class World:
         self.dma_order = [e.dma_id for e in entries]
         queue_of = {e.dma_id: QUEUE_NAMES.index(e.queue) for e in entries}
         self.controller = ControllerState(
-            policy=cfg.policy, capacity=cfg.capacity,
-            aging_period=cfg.aging_period, delta=cfg.delta,
+            policy=cfg.policy, capacity=cfg.capacity, delta=cfg.delta,
             queue_of_dma=queue_of, static_split=cfg.static_split)
         self.policy = self.controller.policy
 
@@ -145,7 +144,8 @@ class World:
         self.luts = {}
         self.generators = {}
         self.level = {}
-        self.media_dmas = set()
+        self.media_dmas = frozenset(e.dma_id for e in entries
+                                    if e.queue == "media")
         self.frame_meters = []
         leaf_depth = {}
         for i, e in enumerate(entries):
@@ -168,8 +168,6 @@ class World:
                 spec, rng, clock_hz, id_base=(i + 1) * ID_STRIDE,
                 occupancy_meter=occ)
             self.level[e.dma_id] = 0
-            if e.queue == "media":
-                self.media_dmas.add(e.dma_id)
             if isinstance(meter, FrameProgressMeter):
                 self.frame_meters.append(meter)
         cluster_depth = cfg.noc_cluster_depth
@@ -178,7 +176,6 @@ class World:
             cfg.noc_depth if cluster_depth is None else cluster_depth,
             cfg.dram.channels, self.policy.noc_mode)
 
-        self.boosted = frozenset()  # see Policy.media_first
         self.inflight = []  # heap of (completion, seq, txn)
         self._seq = 0
         self.sink = metrics.MetricsSink()
@@ -263,7 +260,7 @@ class World:
                     self._wake(dma, now)
             if (now > 0 and self.policy.aging
                     and now % cfg.aging_period == 0):
-                self.controller.apply_aging(now)
+                self.controller.apply_aging(now, cfg.aging_period)
                 self.noc.age_resident(now, cfg.aging_period)
 
         # phase 3: NoC arbitration, then wake the parked DMAs it drained:
@@ -285,7 +282,7 @@ class World:
         for ch in self._channels:
             if now < next_try[ch]:
                 continue
-            txn = self.controller.select(self.dram, ch, now, self.boosted)
+            txn = self.controller.select(self.dram, ch, now)
             if txn is not None:
                 completion = self.dram.issue(txn, now)
                 heapq.heappush(self.inflight, (completion, self._seq, txn))
@@ -351,7 +348,7 @@ class World:
 
     def _reevaluate(self, now: int) -> None:
         if self.policy.media_first:
-            self.boosted = self.media_dmas
+            self.controller.boosted = self.media_dmas
         for dma in self.dma_order:
             meter = self.meters[dma]
             npi = meter.npi(now)

@@ -125,38 +125,33 @@ class NocFabric:
     def __init__(self, route: dict, leaf_depth: dict, cluster_depth: int,
                  channels: int, mode: str = PRIORITY):
         self.leaf_depth, self.cluster_depth = leaf_depth, cluster_depth
-        self.dma_order = list(route)
         self.leaf = {}
         self.cluster_nodes = []
-        self.cluster_members = []  # DMA id of each cluster port
         self.cluster_out = []  # one FIFO per cluster, shared across channels
         self.roots = []
         self._feeds = {}  # the nodes each DMA's leaf feeds
         members = {}
         for dma, where in route.items():
             members.setdefault(where, []).append(dma)
-        self.direct = members.pop("direct", [])
+        direct = members.pop("direct", [])
         for name, dmas in sorted(members.items()):
             node = ArbiterNode(name, len(dmas), mode=mode)
             for port, dma in enumerate(dmas):
                 self.leaf[dma] = node.ports[port]
                 self._feeds[dma] = (node,)
             self.cluster_nodes.append(node)
-            self.cluster_members.append(dmas)
             self.cluster_out.append(deque())
-        for d in self.direct:
+        for d in direct:
             self.leaf[d] = deque()
             self._feeds[d] = self.roots
         # root ports: cluster output FIFOs first, then direct DMA leaves;
         # each root's arbitration view shares these FIFOs
-        self._root_queues = self.cluster_out + [self.leaf[d] for d in self.direct]
+        self._root_queues = self.cluster_out + [self.leaf[d] for d in direct]
         for ch in range(channels):
             root = ArbiterNode(f"root{ch}", len(self._root_queues), mode=mode,
                                channel=ch)
             root.ports = list(self._root_queues)
             self.roots.append(root)
-        # DMA id behind each root port: None for a cluster output
-        self._root_leaf = [None] * len(self.cluster_out) + self.direct
         # DMAs whose leaf lost a head in `step`, in grant order; the caller
         # empties it
         self.drained = []
@@ -196,15 +191,14 @@ class NocFabric:
                 continue
             q = root.ports[win]
             if controller.enqueue(q[0], now):
-                q.popleft()
+                txn = q.popleft()
                 for r in self.roots:
                     r.stale_from = now + 1
-                if self._root_leaf[win] is not None:
-                    self.drained.append(self._root_leaf[win])
+                if win >= len(self.cluster_out):  # a direct DMA's leaf
+                    self.drained.append(txn.source)
 
         # clusters move leaf heads into their output FIFO
-        for ci, node in enumerate(self.cluster_nodes):
-            out = self.cluster_out[ci]
+        for node, out in zip(self.cluster_nodes, self.cluster_out):
             if len(out) >= self.cluster_depth:
                 continue
             win = node.arbitrate(now)
@@ -216,7 +210,7 @@ class NocFabric:
                 for root in self.roots:
                     root.stale_from = now + 1
             out.append(txn)
-            self.drained.append(self.cluster_members[ci][win])
+            self.drained.append(txn.source)
 
     def next_activity(self, now: int) -> int:
         """`now` if `step(now)` could move a transaction, else NEVER.
@@ -242,8 +236,7 @@ class NocFabric:
             node.stale_from = max(node.stale_from, now)
 
     def all_queues(self):
-        for dma in self.dma_order:
-            yield self.leaf[dma]
+        yield from self.leaf.values()
         yield from self.cluster_out
 
     def resident_count(self) -> int:

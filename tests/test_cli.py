@@ -381,6 +381,47 @@ def test_nonpositive_duration_option_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "-c", "B", "--policy", "BOGUS"],
+    ["run", "-c", "B", "--seed", "abc"],
+    ["run", "-c", "B", "--duration", "1e3"],
+    ["run"],
+    ["bogus"],
+    [],
+    ["list-cores", "-c", "B", "-o", "x"],
+], ids=["policy", "seed", "duration", "no-config", "verb", "no-verb",
+        "unknown-option"])
+def test_malformed_command_line_is_config_error(tmp_path, capsys,
+                                                monkeypatch, argv):
+    # argparse's own usage errors exit 2, the runtime-error code
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: sarasim")
+    assert "usage:" not in captured.err and "Traceback" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_negative_duration_frames_is_config_error(tmp_path, capsys):
+    # it would resolve to a run shorter than its own warmup
+    text = Path(CASE_B).read_text(encoding="utf-8")
+    assert "warmup_cycles = 12000" in text and "duration_frames = 1" in text
+    path = tmp_path / "case_b.cfg"
+    path.write_text(text.replace("warmup_cycles = 12000",
+                                 "warmup_cycles = 300000")
+                    .replace("duration_frames = 1", "duration_frames = -1"))
+    assert main(["echo-config", "-c", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "duration_frames" in captured.err and not captured.out
+
+
 def test_malformed_frequency_is_config_error(tmp_path, capsys):
     rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
                "display", "--frequencies", "1700,abc",

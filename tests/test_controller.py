@@ -34,7 +34,7 @@ def make_txn(m, id, queue=0, priority=0, bank=0, row=0, column=0,
     return t
 
 
-def select_from(ctrl, ready, dram, boosted=frozenset()):
+def select_from(ctrl, ready, dram):
     """The oracle entry to ctrl's select rule: the rule's choice among
     `ready`, a union of the groups that ctrl's `enqueue` built, with each
     group's row class found by classifying its head against `dram`."""
@@ -44,7 +44,7 @@ def select_from(ctrl, ready, dram, boosted=frozenset()):
               if any(id(t) in chosen for t in group.txns)]
     assert sorted(id(t) for g in groups for t in g.txns) == sorted(chosen)
     hits = [g for g in groups if dram.classify(g.txns[0]) == ROW_HIT]
-    return ctrl.policy.select(ctrl, groups, hits, boosted)
+    return ctrl.policy.select(ctrl, groups, hits)
 
 
 # -- admission ---------------------------------------------------------------
@@ -88,21 +88,14 @@ class TestAging:
         dram, c = model(), make_controller(policy="QOS")
         t = make_txn(dram, 1, created=0)
         c.enqueue(t, 0)
-        c.apply_aging(10000)
+        c.apply_aging(10000, 10000)
         assert t.aged
 
     def test_just_under_t_not_aged(self):
         dram, c = model(), make_controller(policy="QOS")
         t = make_txn(dram, 1, created=1)
         c.enqueue(t, 1)
-        c.apply_aging(10000)  # waited 9999
-        assert not t.aged
-
-    def test_inactive_outside_qos_policies(self):
-        dram, c = model(), make_controller(policy="FCFS")
-        t = make_txn(dram, 1, created=0)
-        c.enqueue(t, 0)
-        c.apply_aging(50000)
+        c.apply_aging(10000, 10000)  # waited 9999
         assert not t.aged
 
     def test_aged_low_priority_beats_fresh_high(self):
@@ -242,16 +235,14 @@ def list_row_buffer_aware(ctrl, ready, hits):
     return list_priority_round_robin(ctrl, ready)
 
 
-LIST_RULES = {  # policy -> rule(ctrl, ready, hits, boosted)
-    "FCFS": lambda c, ready, hits, boosted: oldest(ready),
-    "RR": lambda c, ready, hits, boosted: list_round_robin(c, ready),
-    "FRAME_QOS": lambda c, ready, hits, boosted: oldest(
-        [t for t in ready if t.source in boosted] or ready),
-    "QOS": lambda c, ready, hits, boosted: list_priority_round_robin(
-        c, ready),
-    "QOS_RB": lambda c, ready, hits, boosted: list_row_buffer_aware(
-        c, ready, hits),
-    "FR_FCFS": lambda c, ready, hits, boosted: oldest(hits or ready),
+LIST_RULES = {  # policy -> rule(ctrl, ready, hits)
+    "FCFS": lambda c, ready, hits: oldest(ready),
+    "RR": lambda c, ready, hits: list_round_robin(c, ready),
+    "FRAME_QOS": lambda c, ready, hits: oldest(
+        [t for t in ready if t.source in c.boosted] or ready),
+    "QOS": lambda c, ready, hits: list_priority_round_robin(c, ready),
+    "QOS_RB": lambda c, ready, hits: list_row_buffer_aware(c, ready, hits),
+    "FR_FCFS": lambda c, ready, hits: oldest(hits or ready),
 }
 
 ENQUEUE = st.tuples(st.just("enqueue"), st.integers(0, 2),  # bank
@@ -275,7 +266,7 @@ class TestGroupRules:
                                                           pointer):
         dram, ctrl = model(), make_controller(policy=policy, delta=4)
         ctrl.rr_pointer = pointer
-        boosted = frozenset({"media", "gpu"})
+        ctrl.boosted = frozenset({"media", "gpu"})
         now = 100
         for i, op in enumerate(ops):
             if op[0] == "enqueue":
@@ -289,10 +280,10 @@ class TestGroupRules:
                 ready = [t for t in held if dram.earliest_issue(t, now) == now]
                 hits = [t for t in ready if dram.classify(t) == ROW_HIT]
                 rr = ctrl.rr_pointer
-                expect = (LIST_RULES[policy](ctrl, ready, hits, boosted)
+                expect = (LIST_RULES[policy](ctrl, ready, hits)
                           if ready else None)
                 rr, ctrl.rr_pointer = ctrl.rr_pointer, rr
-                got = ctrl.select(dram, 0, now, boosted)
+                got = ctrl.select(dram, 0, now)
                 assert got is expect and ctrl.rr_pointer == rr
                 if got is not None:
                     dram.issue(got, now)
@@ -372,7 +363,8 @@ class TestPolicyExamples:
                          bank=1, created=50)
         c.enqueue(other, 0)
         c.enqueue(media, 1)
-        assert c.select(dram, 0, 60, unhealthy={"media"}) is media
+        c.boosted = frozenset({"media"})
+        assert c.select(dram, 0, 60) is media
 
 
 # -- structural properties over random states --------------------------------
@@ -465,14 +457,14 @@ class TestCachedReadySet:
         rng = np.random.default_rng(zlib.crc32(policy.encode()))
         dram = DramModel(DramTimingConfig())
         ctrl = make_controller(policy=policy, delta=int(rng.integers(1, 8)))
-        unhealthy = frozenset({"media"} if policy == "FRAME_QOS" else ())
+        ctrl.boosted = frozenset({"media"} if policy == "FRAME_QOS" else ())
         next_id, now, issued = 0, 0, 0
         while now < 12_000:
             for _ in range(int(rng.integers(0, 3))):
                 ctrl.enqueue(random_txn(rng, dram, next_id, now), now)
                 next_id += 1
             if rng.random() < 0.01:
-                ctrl.apply_aging(now + int(rng.integers(10_000)))
+                ctrl.apply_aging(now + int(rng.integers(10_000)), 10_000)
             for ch in range(dram.timing.channels):
                 held = [t for t in resident(ctrl) if t.channel == ch]
                 at = {t.id: dram.earliest_issue(t, now) for t in held}
@@ -480,10 +472,9 @@ class TestCachedReadySet:
                 horizon = min(at.values(), default=NEVER)
                 scans = now >= ctrl.next_try.get(ch, 0)
                 rr = ctrl.rr_pointer
-                expect = (select_from(ctrl, ready, dram, unhealthy)
-                          if ready else None)
+                expect = select_from(ctrl, ready, dram) if ready else None
                 ctrl.rr_pointer = rr
-                got = ctrl.select(dram, ch, now, unhealthy)
+                got = ctrl.select(dram, ch, now)
                 if not scans:
                     # skipped: nothing can be ready before next_try
                     assert not ready and ctrl.next_try[ch] == horizon

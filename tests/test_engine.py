@@ -341,16 +341,6 @@ region_len_kb = 1024
 """
 
 
-class UngatedWorld(engine.World):
-    """A World that never gate-parks: no poll counts as idle, so every due
-    poll of an occupancy-gated stream is made and stops the fast-forward."""
-
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        for gen in self.generators.values():
-            gen.idle_poll = lambda: False
-
-
 class TestGateParking:
     """Gate-parking an occupancy-gated stream until one of its completions
     or an epoch, then replaying its missed polls, must equal polling it."""
@@ -358,7 +348,7 @@ class TestGateParking:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_drain_and_fill_streams_equal_per_cycle_polling(self, policy):
         cfg = with_policy(parse_config(OCCUPANCY), policy)
-        world, ref = engine.World(cfg), UngatedWorld(cfg)
+        world, ref = engine.World(cfg), PollingWorld(cfg)
         parked = set()
         while world.cycle < 20_000:  # engine.run's loop
             world.step()
@@ -385,7 +375,7 @@ class TestGateParking:
         assert world._gated, "no stream gate-parked after cycle 10,000"
         end = world.cycle
         assert (outcome(engine.run(cfg, duration_cycles=end))
-                == outcome(stepped(cfg, end, UngatedWorld)))
+                == outcome(stepped(cfg, end, PollingWorld)))
 
 
 class ScratchFabric(NocFabric):
@@ -527,6 +517,34 @@ def test_aging_outputs_match_recorded_digests(tmp_path, scenario, policy):
     assert (hashlib.sha256(npi.read_bytes()).hexdigest(),
             hashlib.sha256(summary.read_bytes()).hexdigest()
             ) == AGING_DIGESTS[scenario, policy]
+
+
+class TestAgingGate:
+    """The engine alone decides when to age: on every aging boundary under
+    QOS and QOS_RB, and never under the other policies, where an aged flag
+    would change no output of FCFS, RR or FR_FCFS."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_aging_calls_per_policy(self, monkeypatch, policy):
+        calls = {"controller": [], "noc": []}
+        apply_aging = ControllerState.apply_aging
+        age_resident = NocFabric.age_resident
+
+        def counted_apply_aging(ctrl, now, period):
+            calls["controller"].append((now, period))
+            apply_aging(ctrl, now, period)
+
+        def counted_age_resident(fab, now, period):
+            calls["noc"].append((now, period))
+            age_resident(fab, now, period)
+        monkeypatch.setattr(ControllerState, "apply_aging",
+                            counted_apply_aging)
+        monkeypatch.setattr(NocFabric, "age_resident", counted_age_resident)
+        engine.run(with_policy(parse_config(CONTENDED), policy),
+                   duration_cycles=5_000)
+        boundaries = ([(now, 250) for now in range(250, 5_000, 250)]
+                      if policy in ("QOS", "QOS_RB") else [])
+        assert calls == {"controller": boundaries, "noc": boundaries}
 
 
 class TestRootMemo:
@@ -722,9 +740,9 @@ class TestArrivalOrder:
             calls.append((now, "enqueue"))
             return enqueue(ctrl, txn, now)
 
-        def recording_select(ctrl, dram, channel, now, *rest):
+        def recording_select(ctrl, dram, channel, now):
             calls.append((now, "select"))
-            return select(ctrl, dram, channel, now, *rest)
+            return select(ctrl, dram, channel, now)
         monkeypatch.setattr(ControllerState, "enqueue", recording_enqueue)
         monkeypatch.setattr(ControllerState, "select", recording_select)
         cfg = (parse_config(CONTENDED) if case == "contended"

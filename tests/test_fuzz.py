@@ -119,7 +119,7 @@ def fuzz_policy(policy, cycles, seed):
     ctrl = ControllerState(policy=policy, queue_of_dma=queue_of,
                            delta=int(rng.integers(1, 8)))
     next_id = 0
-    unhealthy = frozenset({"media"} if policy == "FRAME_QOS" else ())
+    ctrl.boosted = frozenset({"media"} if policy == "FRAME_QOS" else ())
     for now in range(cycles):
         # random arrivals, bursty enough to keep the queues under pressure
         for _ in range(int(rng.integers(0, 3))):
@@ -139,9 +139,9 @@ def fuzz_policy(policy, cycles, seed):
             ctrl.enqueue(txn, now)
             next_id += 1
         if policy in ("QOS", "QOS_RB") and now % 10_000 == 0 and now:
-            ctrl.apply_aging(now)
+            ctrl.apply_aging(now, 10_000)
         for ch in range(timing.channels):
-            txn = ctrl.select(dram, ch, now, unhealthy)
+            txn = ctrl.select(dram, ch, now)
             if txn is not None:
                 completion = dram.issue(txn, now)
                 shadow.observe(txn, now, completion)

@@ -28,8 +28,7 @@ def run_flood(cycles=300_000, victim_gap=25_000, seed=42):
     timing = DramTimingConfig()
     dram = DramModel(timing)
     queue_of = {name: i for i, name in enumerate(QUEUE_NAMES)}
-    ctrl = ControllerState(policy="QOS", queue_of_dma=queue_of,
-                           aging_period=T_AGING)
+    ctrl = ControllerState(policy="QOS", queue_of_dma=queue_of)
     next_id = 0
     victims = {}  # id -> t_created
     worst = 0
@@ -61,9 +60,9 @@ def run_flood(cycles=300_000, victim_gap=25_000, seed=42):
             if not ctrl.enqueue(make(q, 7, now), now):
                 break
         if now and now % T_AGING == 0:
-            ctrl.apply_aging(now)
+            ctrl.apply_aging(now, T_AGING)
         for ch in range(timing.channels):
-            txn = ctrl.select(dram, ch, now, frozenset())
+            txn = ctrl.select(dram, ch, now)
             if txn is None:
                 continue
             dram.issue(txn, now)
