@@ -170,6 +170,9 @@ class ScenarioConfig:
             _check_text("dma id", e.dma_id)
             if not e.dma_id:
                 raise ValidationError("empty dma id")
+            if "," in e.dma_id or '"' in e.dma_id:
+                raise ValidationError(f"dma id {e.dma_id!r} has a ',' or a "
+                                      f"'\"', which the CSVs cannot hold")
             _check_text(f"{e.dma_id}: core", e.core)
             for ok, text in _DMA_CHECKS:
                 if not ok(e, self):
@@ -336,6 +339,7 @@ def parse_config(text: str) -> ScenarioConfig:
     section = None
     dma_entry = None
     dma_raw = None
+    given = set()  # (section, key) of every global and section key
 
     def finish_dma():
         nonlocal dma_entry, dma_raw
@@ -378,6 +382,8 @@ def parse_config(text: str) -> ScenarioConfig:
             if key not in _DMA_KEYS:
                 raise ParseError(
                     f"line {lineno}: unknown key {key!r} in [dma ...]")
+            if key in dma_raw:
+                raise ParseError(f"line {lineno}: duplicate key {key!r}")
             if key == "lut":
                 dma_raw[key] = _parse_lut(raw, lineno)
             else:
@@ -387,6 +393,9 @@ def parse_config(text: str) -> ScenarioConfig:
         if key not in keys:
             where = f" in [{section}]" if section else ""
             raise ParseError(f"line {lineno}: unknown key {key!r}{where}")
+        if (section, key) in given:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        given.add((section, key))
         value = _convert(raw, keys[key], key, lineno)
         if key == "duration_cycles" and value <= 0:
             raise ValidationError(

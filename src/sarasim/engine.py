@@ -13,15 +13,15 @@ DMAs are always iterated in sorted id order so the result is independent of
 any incidental container ordering.
 
 A stepped cycle runs only the layers that can act on it.  Phase 1 and the
-poll loop of `skip_idle` run only when a poll is due: `_poll_due`, a lower
-bound on every DMA's next poll, is set by each pass of phase 1 and lowered
-by each wake below (parking only raises a poll).  Phase 2 runs only on an
-epoch, frame or aging boundary (`_boundary`, which `step` and `skip_idle`
-keep).  An epoch re-levels a DMA's leaf (`NocFabric.relevel`) only when
-the DMA's level changed, because every request in the leaf was made at, or
-re-levelled to, the old level.  Phase 4 calls `ControllerState.select` only
-for a channel whose `next_try` has come.  The NoC skips its own idle
-clusters and full-pool enqueues (see `noc`).
+poll loop of `skip_idle` pop only the due polls from `_polls`, a heap of
+(next poll, DMA) that holds every DMA neither parked nor gate-parked (see
+below); ties pop in DMA id order.  Phase 2 runs only on an epoch, frame or
+aging boundary (`_boundary`, which `step` and `skip_idle` keep).  An epoch
+re-levels a DMA's leaf (`NocFabric.relevel`) only when the DMA's level
+changed, because every request in the leaf was made at, or re-levelled
+to, the old level.  Phase 4 calls `ControllerState.select` only for a
+channel whose `next_try` has come.  The NoC skips its own idle clusters
+and full-pool enqueues (see `noc`).
 
 A generator whose leaf queue is full is parked: it is not polled until the
 NoC takes a head from that leaf (`NocFabric.drained`).  Its polls in the
@@ -56,7 +56,7 @@ from . import metrics
 from .config import ScenarioConfig
 from .controller import ControllerState, QUEUE_NAMES
 from .core import PRIORITY_LEVELS
-from .dram import NEVER, DramModel
+from .dram import DramModel
 from .meters import (DRAIN, FILL, FRAME_PROGRESS_LUT, BandwidthMeter,
                      FrameProgressMeter, LatencyMeter, OccupancyMeter,
                      PriorityLut, translate)
@@ -183,8 +183,7 @@ class World:
         self.generated = 0
         self.completed = 0
         self.max_wait = 0
-        self._next_poll = {d: 0 for d in self.dma_order}
-        self._poll_due = 0  # <= every _next_poll value; see the docstring
+        self._polls = [(0, d) for d in self.dma_order]  # sorted: a heap
         # parked DMA -> its next poll, which would find the leaf full
         self._parked = {}
         # gate-parked DMA -> its next poll, which would find no buffer room
@@ -223,28 +222,23 @@ class World:
         # phase 1, when a poll is due: traffic generation; a DMA whose leaf
         # is full is parked until the NoC drains the leaf, and one whose
         # buffer has no room is gate-parked until a completion or an epoch
-        if now >= self._poll_due:
-            next_poll = self._next_poll
-            for dma in self.dma_order:
-                if now < next_poll[dma]:
-                    continue
-                gen = self.generators[dma]
-                space = self.noc.leaf_space(dma)
-                if space > 0:
-                    for txn in gen.next_requests(now, space, self.level[dma]):
-                        self.dram.decode_into(txn)
-                        self.noc.offer(dma, txn, now)
-                        self.generated += 1
-                        space -= 1
-                if space == 0:
-                    self._parked[dma] = gen.next_poll_after(now)
-                    next_poll[dma] = NEVER
-                elif gen.idle_poll():
-                    self._gated[dma] = now + 1
-                    next_poll[dma] = NEVER
-                else:
-                    next_poll[dma] = gen.next_poll_after(now)
-            self._poll_due = min(next_poll.values())
+        polls = self._polls
+        while polls and polls[0][0] <= now:
+            dma = heapq.heappop(polls)[1]
+            gen = self.generators[dma]
+            space = self.noc.leaf_space(dma)
+            if space > 0:
+                for txn in gen.next_requests(now, space, self.level[dma]):
+                    self.dram.decode_into(txn)
+                    self.noc.offer(dma, txn, now)
+                    self.generated += 1
+                    space -= 1
+            if space == 0:
+                self._parked[dma] = gen.next_poll_after(now)
+            elif gen.idle_poll():
+                self._gated[dma] = now + 1
+            else:
+                heapq.heappush(polls, (gen.next_poll_after(now), dma))
 
         # phase 2, on an epoch, frame or aging boundary: meters, priorities,
         # aging
@@ -272,8 +266,7 @@ class World:
                 poll = self._parked.pop(dma, None)
                 if poll is not None:
                     poll = self.generators[dma].poll_from(poll, now + 1)
-                    self._next_poll[dma] = poll
-                    self._poll_due = min(self._poll_due, poll)
+                    heapq.heappush(self._polls, (poll, dma))
             drained.clear()
 
         # phase 4: scheduling + DRAM issue on each channel whose next_try
@@ -309,8 +302,7 @@ class World:
         """Resume a gate-parked DMA at `now + 1`, replaying the polls it
         missed: each found no room and only accrued credit."""
         poll = self.generators[dma].skip_polls(self._gated.pop(dma), now + 1)
-        self._next_poll[dma] = poll
-        self._poll_due = min(self._poll_due, poll)
+        heapq.heappush(self._polls, (poll, dma))
 
     def skip_idle(self, end: int) -> None:
         """Advance `cycle` to the first cycle before `end` at which a
@@ -328,18 +320,14 @@ class World:
             target = min(target, self.inflight[0][0])
         if target <= now:
             return
-        if self._poll_due < target:
-            for dma in self.dma_order:
-                poll = self._next_poll[dma]
-                if poll >= target:
-                    continue
-                if self.generators[dma].idle_poll():
-                    self._gated[dma] = poll
-                    self._next_poll[dma] = NEVER
-                else:
-                    target = poll
-                    if target <= now:
-                        return
+        polls = self._polls
+        while polls and polls[0][0] < target:
+            poll, dma = polls[0]
+            if not self.generators[dma].idle_poll():
+                target = poll
+                break
+            heapq.heappop(polls)
+            self._gated[dma] = poll
         self.cycle = target
 
     def _next_boundary(self, now: int) -> int:

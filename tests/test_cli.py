@@ -422,6 +422,27 @@ def test_negative_duration_frames_is_config_error(tmp_path, capsys):
     assert "duration_frames" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("seed = 7\n", "seed = 7\nseed = 9\n", "line 6: duplicate key 'seed'"),
+    ("[dma display]", "[dma dis,play]", "'dis,play'")],
+    ids=["seed-twice", "comma-in-id"])
+def test_repeated_key_or_comma_in_dma_id_is_config_error(tmp_path, capsys,
+                                                         old, new, named):
+    # echo-config printed the later seed, and run wrote summary rows with
+    # one field more than the header
+    text = Path(CASE_B).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "case_b.cfg"
+    path.write_text(text.replace(old, new))
+    for argv in (["echo-config", "-c", str(path)],
+                 ["run", "-c", str(path), "-o", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.count("configuration error:") == 1
+        assert named in captured.err and "Traceback" not in captured.err
+        assert not captured.out
+
+
 def test_malformed_frequency_is_config_error(tmp_path, capsys):
     rc = main(["sweep", "-c", CASE_B, "--duration", "3000", "--dma",
                "display", "--frequencies", "1700,abc",

@@ -121,6 +121,31 @@ class TestParse:
         with pytest.raises(ValidationError, match="duplicate dma id"):
             parse_config(dup)
 
+    @pytest.mark.parametrize("text,line,key", [
+        (MINIMAL.replace("seed = 3", "seed = 3\nseed = 9"), 4, "seed"),
+        # the same section under a second header
+        (MINIMAL + "[dram]\nio_freq_mhz = 1700\n", 17, "io_freq_mhz"),
+        (MINIMAL + "rate_mbps = 20.0\n", 16, "rate_mbps")],
+        ids=["global", "second-header", "dma"])
+    def test_key_given_twice_cites_line(self, text, line, key):
+        # the later value used to override the earlier one silently
+        with pytest.raises(ParseError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {line}: duplicate key {key!r}"
+
+    def test_same_key_in_two_dma_sections_is_not_a_duplicate(self):
+        second = MINIMAL[MINIMAL.index("[dma one]"):].replace("one", "two")
+        cfg = parse_config(MINIMAL + second + "region_base_kb = 4096\n")
+        assert [e.dma_id for e in cfg.dmas] == ["one", "two"]
+
+    @pytest.mark.parametrize("dma_id", ["dis,play", 'dis"play'])
+    def test_dma_id_the_csvs_cannot_hold_is_rejected(self, dma_id):
+        # the CSV writers write ids unquoted: a ',' added a field to a row
+        cfg = load_packaged_scenario("B")
+        next(e for e in cfg.dmas if e.dma_id == "display").dma_id = dma_id
+        with pytest.raises(ValidationError, match=re.escape(repr(dma_id))):
+            cfg.validate()
+
     def test_region_overlap_rejected(self):
         second = """
 [dma two]

@@ -11,7 +11,6 @@ from sarasim.cli import write_npi_csv, write_summary_csv
 from sarasim.config import (emit_config, load_packaged_scenario, parse_config,
                             with_policy)
 from sarasim.controller import POLICIES, QUEUE_NAMES, ControllerState
-from sarasim.dram import NEVER
 from sarasim.noc import NocFabric
 
 from test_noc import keep
@@ -190,6 +189,14 @@ def executed_cycles(cfg, cycles):
     return out
 
 
+def quiet_b():
+    """Case B without its elastic streams, which would keep every cycle
+    busy: most of its cycles are fast-forwarded."""
+    cfg = load_packaged_scenario("B")
+    cfg.dmas = [e for e in cfg.dmas if e.kind != "bandwidth_stream"]
+    return cfg
+
+
 def outcome(report):
     return {
         "duration": report.duration_cycles,
@@ -232,10 +239,7 @@ class TestFastForward:
                 == outcome(stepped(cfg, 30_000)))
 
     def test_duration_ending_inside_a_skip(self):
-        # case B without its elastic streams, which would keep every cycle
-        # busy
-        cfg = load_packaged_scenario("B")
-        cfg.dmas = [e for e in cfg.dmas if e.kind != "bandwidth_stream"]
+        cfg = quiet_b()
         cycles = executed_cycles(cfg, 30_000)
         gaps = [c for c, nxt in zip(cycles, cycles[1:]) if nxt - c > 2]
         end = gaps[len(gaps) // 2] + 2  # strictly inside a skipped stretch
@@ -252,8 +256,8 @@ class PollingWorld(engine.World):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.polls = dict(self._next_poll)
-        self._next_poll = dict.fromkeys(self.dma_order, NEVER)
+        self.polls = dict.fromkeys(self.dma_order, 0)
+        self._polls = []
 
     def step(self):
         now = self.cycle
@@ -286,18 +290,28 @@ class TestParkedGenerators:
                 == outcome(world.report()))
 
 
-class TestPollDue:
-    """`World._poll_due` lets phase 1 and skip_idle's poll loop pass over
-    the DMAs when no poll is due, so it must never exceed the earliest
-    next poll."""
+class TestPollSchedule:
+    """Every DMA is in exactly one of the poll heap `World._polls`, the
+    parked and the gate-parked DMAs, and no poll in the heap is late: it
+    falls at or after the next cycle to step, also after a fast-forward."""
 
-    @pytest.mark.parametrize("case", ["A", "B", "sweep"])
-    def test_bound_holds_after_every_stepped_cycle(self, case):
-        world = engine.World(load_packaged_scenario(case))
+    @staticmethod
+    def check(world):
+        scheduled = [dma for _, dma in world._polls]
+        assert (sorted(scheduled + list(world._parked) + list(world._gated))
+                == world.dma_order), world.cycle
+        late = [entry for entry in world._polls if entry[0] < world.cycle]
+        assert not late, (world.cycle, late)
+
+    @pytest.mark.parametrize("case", ["A", "B", "sweep", "quiet"])
+    def test_each_dma_scheduled_once_and_no_poll_late(self, case):
+        cfg = quiet_b() if case == "quiet" else load_packaged_scenario(case)
+        world = engine.World(cfg)
         while world.cycle < 30_000:  # engine.run's loop
             world.step()
-            assert world._poll_due <= min(world._next_poll.values())
+            self.check(world)
             world.skip_idle(30_000)
+            self.check(world)
 
 
 OCCUPANCY = """
