@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -50,6 +51,8 @@ class DmaEntry:
     buffer_kb: float = 0.0
     latency_limit_cycles: float = 0.0
     direction: str = "drain"
+    queue_depth: int = 0  # 0: use the fabric-wide [noc] depth
+    window_cycles: int = 0  # 0: use the global meter_window_cycles
     reference_slope: float = 1.0
     lut: tuple = ()
     region_base_kb: int = 0
@@ -57,8 +60,6 @@ class DmaEntry:
     locality: float = 1.0
     read_fraction: float = 1.0
     pace_boost: float = 2.0
-    queue_depth: int = 0  # 0: use the fabric-wide [noc] depth
-    window_cycles: int = 0  # 0: use the global meter_window_cycles
 
     @property
     def target_bytes_per_s(self) -> float:
@@ -194,15 +195,15 @@ def _probe_limit(cfg: ScenarioConfig) -> float:
     return TXN_SIZE_BYTES / 2 * cfg.io_freq_mhz
 
 
-def _earns_a_transaction(e: DmaEntry, cfg: ScenarioConfig) -> bool:
-    """Whether `e`'s `Generator` earns one transaction in fewer than
-    `NEVER` cycles: at its `rate_per_cycle`, or, for a credit stream under
-    an occupancy meter, at its `pace`, which pace_boost multiplies."""
+def _pace(e: DmaEntry, cfg: ScenarioConfig) -> float:
+    """The bytes per command cycle that `e`'s `Generator` earns: its
+    `rate_per_cycle`, or, for a credit stream under an occupancy meter,
+    its `pace`, which pace_boost multiplies."""
     spec = e.spec_for(cfg.desk_scale, cfg.frame_period_cycles)
     rate = spec.rate_bytes_per_s / cfg.command_clock_hz
     if e.kind in CREDIT_KINDS and e.meter == "occupancy":
         rate *= e.pace_boost
-    return rate > 0 and TXN_SIZE_BYTES / rate < NEVER
+    return rate
 
 
 # the per-DMA checks: a test that holds for a valid entry `e` of scenario
@@ -230,12 +231,24 @@ _DMA_CHECKS = tuple(
      "unknown direction {direction}"),
     (lambda e, s: e.region_base_kb >= 0, "region_base_kb is negative"),
     (lambda e, s: e.region_len_kb > 0, "region_len_kb must be positive"),
+    # a random jump draws a slot of the region with rng.DmaStream.integers
+    (lambda e, s: e.locality >= 1
+     or e.region_len_kb * KB // TXN_SIZE_BYTES <= 2 ** 63,
+     "region_len_kb {region_len_kb} holds more than 2**63 transactions, "
+     "too many for a random jump (locality < 1)"),
+    # spec_for converts the scaled frame to whole bytes
+    (lambda e, s: math.isfinite(e.frame_kb * KB),
+     "frame_kb {frame_kb:g} overflows when scaled to bytes"),
     (lambda e, s: e.pace_boost > 0, "pace_boost must be positive"),
     (lambda e, s: e.kind != LATENCY_PROBE or e.rate_mbps <= _probe_limit(s),
      "latency_probe rate_mbps {rate_mbps:g} exceeds one transaction per "
      "command cycle ({probe_limit:g})"),
+    # an infinite pace earns NaN credit at a poll zero cycles after the last
+    (lambda e, s: e.kind == BURSTY_FRAME or _pace(e, s) < math.inf,
+     "rate_mbps {rate_mbps:g} overflows when scaled to bytes per command "
+     "cycle (on an occupancy stream, at pace_boost {pace_boost:g})"),
     (lambda e, s: e.kind == BURSTY_FRAME or e.rate_mbps == 0
-     or _earns_a_transaction(e, s),
+     or 0 < _pace(e, s) and TXN_SIZE_BYTES / _pace(e, s) < NEVER,
      "rate_mbps {rate_mbps:g} earns no transaction in 2**62 command cycles "
      "(on an occupancy stream, at pace_boost {pace_boost:g})"),
     (lambda e, s: e.meter != "latency" or e.latency_limit_cycles > 0,
@@ -269,7 +282,9 @@ def _check_text(label: str, value: str) -> None:
 # parsing
 
 # the keys of each section in emit order, and their types; the global
-# section (None) has no header
+# section (None) has no header, and each [dma <id>] section fills the
+# fields of a DmaEntry after dma_id (the entry's name is how errors cite it)
+_DMA = "dma ..."
 _SECTIONS = {
     None: {
         "name": str, "seed": int, "desk_scale": int, "warmup_cycles": int,
@@ -286,16 +301,11 @@ _SECTIONS = {
         "static_split": bool,
     },
     "noc": {"depth": int, "cluster_depth": int},
+    _DMA: dict(list(typing.get_type_hints(DmaEntry).items())[1:]),
 }
-_DMA_KEYS = {
-    "core": str, "queue": str, "cluster": str, "kind": str, "meter": str,
-    "rate_mbps": float, "target_mbps": float, "frame_kb": float,
-    "buffer_kb": float, "latency_limit_cycles": float, "direction": str,
-    "queue_depth": int, "window_cycles": int,
-    "reference_slope": float, "lut": str, "region_base_kb": int,
-    "region_len_kb": int, "locality": float, "read_fraction": float,
-    "pace_boost": float,
-}
+# the [dma <id>] keys that DmaEntry has no default for
+_REQUIRED = tuple(f.name for f in dataclasses.fields(DmaEntry)[1:]
+                  if f.default is dataclasses.MISSING)
 
 
 def _home(cfg: ScenarioConfig, section, key: str) -> tuple:
@@ -308,6 +318,14 @@ def _home(cfg: ScenarioConfig, section, key: str) -> tuple:
 
 
 def _convert(raw: str, typ, key: str, lineno: int):
+    if typ is tuple:  # a priority LUT
+        entries = tuple(_convert(v.strip(), float, key, lineno)
+                        for v in raw.split(","))
+        try:
+            PriorityLut(entries=entries)  # validates itself
+        except MalformedLut as exc:
+            raise MalformedLut(f"line {lineno}: {key} {exc}") from None
+        return entries
     try:
         if typ is bool:
             if raw.lower() in ("true", "yes", "1"):
@@ -324,35 +342,22 @@ def _convert(raw: str, typ, key: str, lineno: int):
             f"line {lineno}: bad value {raw!r} for key {key!r}") from None
 
 
-def _parse_lut(raw: str, lineno: int) -> tuple:
-    entries = tuple(_convert(v.strip(), float, "lut", lineno)
-                    for v in raw.split(","))
-    try:
-        PriorityLut(entries=entries)  # validates itself
-    except MalformedLut as exc:
-        raise MalformedLut(f"line {lineno}: lut {exc}") from None
-    return entries
+def _check_required(section, values: dict) -> None:
+    """Reject a [dma <id>] section that leaves out a required key."""
+    if section != _DMA:
+        return
+    for key in _REQUIRED:
+        if key not in values:
+            raise ValidationError(
+                f"dma {values['dma_id']}: missing key {key!r}")
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    section = None
-    dma_entry = None
-    dma_raw = None
-    given = set()  # (section, key) of every global and section key
-
-    def finish_dma():
-        nonlocal dma_entry, dma_raw
-        if dma_raw is None:
-            return
-        for req in ("core", "queue", "cluster", "kind", "meter"):
-            if req not in dma_raw:
-                raise ValidationError(
-                    f"dma {dma_entry['dma_id']}: missing key {req!r}")
-        entry = DmaEntry(dma_id=dma_entry["dma_id"], **dma_raw)
-        cfg.dmas.append(entry)
-        dma_entry = dma_raw = None
-
+    # the values given in each section: a [dma <id>] header starts a new
+    # dict, and any other header reopens its section's
+    given = {section: {} for section in _SECTIONS if section != _DMA}
+    dmas = []
+    section, values = None, given[None]
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -360,16 +365,13 @@ def parse_config(text: str) -> ScenarioConfig:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError(f"line {lineno}: malformed section header")
-            finish_dma()
+            _check_required(section, values)
             header = line[1:-1].strip()
-            if header in _SECTIONS:
-                section = header
-            elif header.startswith("dma "):
-                section = "dma"
-                dma_entry = {"dma_id": header[4:].strip()}
-                dma_raw = {}
-                if not dma_entry["dma_id"]:
-                    raise ParseError(f"line {lineno}: empty dma id")
+            if header.startswith("dma "):
+                section, values = _DMA, {"dma_id": header[4:].strip()}
+                dmas.append(values)
+            elif header in given:
+                section, values = header, given[header]
             else:
                 raise ParseError(f"line {lineno}: unknown section [{header}]")
             continue
@@ -377,57 +379,44 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ParseError(f"line {lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if section == "dma":
-            if key not in _DMA_KEYS:
-                raise ParseError(
-                    f"line {lineno}: unknown key {key!r} in [dma ...]")
-            if key in dma_raw:
-                raise ParseError(f"line {lineno}: duplicate key {key!r}")
-            if key == "lut":
-                dma_raw[key] = _parse_lut(raw, lineno)
-            else:
-                dma_raw[key] = _convert(raw, _DMA_KEYS[key], key, lineno)
-            continue
         keys = _SECTIONS[section]
         if key not in keys:
             where = f" in [{section}]" if section else ""
             raise ParseError(f"line {lineno}: unknown key {key!r}{where}")
-        if (section, key) in given:
+        if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        given.add((section, key))
-        value = _convert(raw, keys[key], key, lineno)
-        if key == "duration_cycles" and value <= 0:
+        values[key] = _convert(raw.strip(), keys[key], key, lineno)
+        if key == "duration_cycles" and values[key] <= 0:
             raise ValidationError(
                 f"line {lineno}: duration_cycles must be positive")
-        setattr(*_home(cfg, section, key), value)
-    finish_dma()
+    _check_required(section, values)
+    cfg = ScenarioConfig(dmas=[DmaEntry(**entry) for entry in dmas])
+    for section, values in given.items():
+        for key, value in values.items():
+            setattr(*_home(cfg, section, key), value)
     cfg.validate()
     return cfg
 
 
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical text form; parse(emit(cfg)) reproduces cfg."""
+    blocks = [(section and f"[{section}]", section,
+               {key: getattr(*_home(cfg, section, key)) for key in keys})
+              for section, keys in _SECTIONS.items() if section != _DMA]
+    blocks += [(f"[dma {e.dma_id}]", _DMA, vars(e)) for e in cfg.dmas]
     out = []
-    for section, keys in _SECTIONS.items():
-        if section:
-            out += ["", f"[{section}]"]
-        for key in keys:
-            value = getattr(*_home(cfg, section, key))
-            # a frame-derived duration (0) and an unset cluster depth (None)
-            # have no input value
-            if value is None or key == "duration_cycles" and value == 0:
+    for header, section, values in blocks:
+        if header:
+            out += ["", header]
+        for key in _SECTIONS[section]:
+            value = values[key]
+            # a frame-derived duration (0), an unset cluster depth (None)
+            # and an absent LUT (()) have no input value
+            if value in (None, ()) or key == "duration_cycles" and value == 0:
                 continue
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
             out.append(f"{key} = {value}")
-    for e in cfg.dmas:
-        out.append("")
-        out.append(f"[dma {e.dma_id}]")
-        for key in _DMA_KEYS:
-            if key == "lut":
-                if e.lut:
-                    out.append("lut = " + ",".join(str(v) for v in e.lut))
-                continue
-            out.append(f"{key} = {getattr(e, key)}")
     return "\n".join(out) + "\n"
 
 

@@ -424,12 +424,20 @@ def test_negative_duration_frames_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("old,new,named", [
     ("seed = 7\n", "seed = 7\nseed = 9\n", "line 6: duplicate key 'seed'"),
-    ("[dma display]", "[dma dis,play]", "'dis,play'")],
-    ids=["seed-twice", "comma-in-id"])
-def test_repeated_key_or_comma_in_dma_id_is_config_error(tmp_path, capsys,
+    ("[dma display]", "[dma dis,play]", "'dis,play'"),
+    ("frame_kb = 3037.5", "frame_kb = 1e308", "improc: frame_kb"),
+    ("rate_mbps = 6000.0\ntarget_mbps = 200.0",
+     "rate_mbps = 1e308\ntarget_mbps = 200.0", "wifi: rate_mbps"),
+    ("region_len_kb = 4096", "region_len_kb = 100000000000000000000\n"
+     "locality = 0.5", "gpu: region_len_kb")],
+    ids=["seed-twice", "comma-in-id", "frame-overflow", "rate-overflow",
+         "region-too-large"])
+def test_rejected_scenario_text_is_one_config_error_line(tmp_path, capsys,
                                                          old, new, named):
     # echo-config printed the later seed, and run wrote summary rows with
-    # one field more than the header
+    # one field more than the header; the last three passed validation and
+    # run exited 2 from int(inf) in spec_for, int(nan) from a credit of
+    # inf * 0, and an integers bound over 2**63
     text = Path(CASE_B).read_text(encoding="utf-8")
     assert text.count(old) == 1
     path = tmp_path / "case_b.cfg"

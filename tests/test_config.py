@@ -138,6 +138,13 @@ class TestParse:
         cfg = parse_config(MINIMAL + second + "region_base_kb = 4096\n")
         assert [e.dma_id for e in cfg.dmas] == ["one", "two"]
 
+    def test_second_header_reopens_its_section(self):
+        text = CASE_TEXT["B"].replace("cluster_depth = 2\n", "")
+        cfg = parse_config(text + "\n[noc]\ncluster_depth = 3\n"
+                           "\n[dram]\nchannels = 1\n")
+        assert (cfg.noc_depth, cfg.noc_cluster_depth) == (8, 3)
+        assert (cfg.io_freq_mhz, cfg.dram.channels) == (1700, 1)
+
     @pytest.mark.parametrize("dma_id", ["dis,play", 'dis"play'])
     def test_dma_id_the_csvs_cannot_hold_is_rejected(self, dma_id):
         # the CSV writers write ids unquoted: a ',' added a field to a row
@@ -179,6 +186,9 @@ latency_limit_cycles = 500
         ("pace_boost", math.inf), ("buffer_kb", math.inf),
         ("target_mbps", math.nan), ("latency_limit_cycles", math.inf),
         ("reference_slope", math.inf),
+        # finite values that overflow when scaled: int(inf) in spec_for,
+        # and a pace of inf earned NaN credit
+        ("frame_kb", 1e308), ("rate_mbps", 1e308), ("pace_boost", 1.79e308),
         pytest.param("lut", (math.inf, 1.8, 1.6, 1.45, 1.3, 1.2, 1.1, 0.0),
                      id="lut-inf-first")])
     def test_out_of_range_dma_value_names_the_dma(self, key, value):
@@ -187,6 +197,22 @@ latency_limit_cycles = 500
         setattr(display, key, value)
         with pytest.raises(ValidationError, match=f"^display: .*{key}"):
             cfg.validate()
+
+    @pytest.mark.parametrize("locality,region_len_kb,ok", [
+        (0.5, 2 ** 59, True), (0.5, 2 ** 59 + 1, False),
+        (1.0, 10 ** 20, True)])
+    def test_random_jump_region_holds_at_most_2_63_transactions(
+            self, locality, region_len_kb, ok):
+        # 2**59 KiB is 2**63 transactions of 64 B, the largest bound that
+        # rng.DmaStream.integers takes; a sequential walk draws no slot
+        cfg = load_packaged_scenario("B")
+        gpu = next(e for e in cfg.dmas if e.dma_id == "gpu")
+        gpu.locality, gpu.region_len_kb = locality, region_len_kb
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ValidationError, match="^gpu: region_len_kb"):
+                cfg.validate()
 
     @pytest.mark.parametrize("text", ["a#b", "a\nb", " a", "a "])
     @pytest.mark.parametrize("field,label", [
