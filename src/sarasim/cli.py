@@ -39,8 +39,8 @@ def write_npi_csv(path: str, report) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("cycle,dma,npi,priority\n")
         for dma in report.dma_order:
-            for s in report.sink.series.get(dma, ()):
-                fh.write(f"{s.cycle},{dma},{_fmt(s.npi)},{s.priority}\n")
+            for cycle, npi, level in zip(*report.sink.series[dma]):
+                fh.write(f"{cycle},{dma},{_fmt(npi)},{level}\n")
 
 
 def write_summary_csv(path: str, rows) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .controller import POLICIES, QUEUE_NAMES
-from .core import TXN_SIZE_BYTES, ValidationError
+from .core import PRIORITY_LEVELS, TXN_SIZE_BYTES, ValidationError
 from .dram import NEVER, DramTimingConfig
 from .meters import MalformedLut, PriorityLut
 from .traffic import (BURSTY_FRAME, CREDIT_KINDS, LATENCY_PROBE,
@@ -148,6 +148,9 @@ class ScenarioConfig:
                     "capacity"):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        if not 0 <= self.delta <= PRIORITY_LEVELS:
+            raise ValidationError(
+                f"delta {self.delta} is outside 0..{PRIORITY_LEVELS}")
         # a depth of 0 is legal: every offer into that queue is refused
         if self.noc_depth < 0:
             raise ValidationError("[noc] depth is negative")

@@ -106,7 +106,7 @@ class SimulationReport:
         return metrics.mean_priority(self.sink.series[dma_id], *self._window())
 
     def dma_bytes(self, dma_id: str) -> int:
-        return metrics.bytes_in_window(self.sink.bytes_by_dma.get(dma_id, ()),
+        return metrics.bytes_in_window(self.sink.bytes_by_dma[dma_id],
                                        *self._window())
 
     def mean_bandwidth(self, dma_id: str) -> float:
@@ -178,7 +178,7 @@ class World:
 
         self.inflight = []  # heap of (completion, seq, txn)
         self._seq = 0
-        self.sink = metrics.MetricsSink()
+        self.sink = metrics.MetricsSink(self.dma_order)
         self._epoch_bytes = {d: 0 for d in self.dma_order}
         self.generated = 0
         self.completed = 0
@@ -349,7 +349,7 @@ class World:
                 # the leaf holds only requests made at the old level
                 self.level[dma] = level
                 self.noc.relevel(dma, level, now)
-            self.sink.record(metrics.NpiSample(dma, now, npi, level))
+            self.sink.record(dma, now, npi, level)
             nbytes = self._epoch_bytes[dma]
             if nbytes:
                 self.sink.record_bytes(dma, now, nbytes)

@@ -1,14 +1,16 @@
 """Metric recording and the policy-comparison summaries.
 
 The sink stores per-DMA NPI samples (one per re-evaluation epoch) and
-per-DMA completed-byte counts per epoch.  Histograms are time-weighted: a
-sample's priority level holds until the next sample.
+per-DMA completed-byte counts per epoch, as typed columns in cycle order.
+Histograms are time-weighted: a sample's level holds until the next sample.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import PRIORITY_LEVELS
 
@@ -25,17 +27,21 @@ class MismatchedScenario(Exception):
     pass
 
 
-@dataclass(slots=True)
-class NpiSample:
-    dma_id: str
-    cycle: int
-    npi: float
-    priority: int
+class NpiSeries(NamedTuple):
+    """A DMA's NPI samples: when each was taken, its NPI and its level."""
+    cycle: array     # 'q'
+    npi: array       # 'd'
+    priority: array  # 'b'
+
+
+class ByteSeries(NamedTuple):
+    """A DMA's completed bytes: `nbytes[i]` were counted at `cycle[i]`."""
+    cycle: array   # 'q'
+    nbytes: array  # 'q'
 
 
 @dataclass
 class PriorityHistogram:
-    dma_id: str
     fraction_of_time: list
 
     def __post_init__(self):
@@ -45,62 +51,65 @@ class PriorityHistogram:
 
 
 class MetricsSink:
-    def __init__(self):
-        self.series = {}        # dma -> list of NpiSample
-        self.bytes_by_dma = {}  # dma -> list of (cycle, bytes completed)
+    def __init__(self, dma_ids):
+        self.series = {d: NpiSeries._make(map(array, "qdb")) for d in dma_ids}
+        self.bytes_by_dma = {d: ByteSeries._make(map(array, "qq"))
+                             for d in dma_ids}
 
-    def record(self, sample: NpiSample) -> None:
-        series = self.series.get(sample.dma_id)
-        last = series[-1].cycle if series else -1
-        if sample.cycle < last:
-            raise OutOfOrder(
-                f"{sample.dma_id}: cycle {sample.cycle} after {last}")
-        self.series.setdefault(sample.dma_id, []).append(sample)
+    def record(self, dma_id: str, cycle: int, npi: float, priority: int):
+        _append(self.series[dma_id], dma_id, cycle, npi, priority)
 
     def record_bytes(self, dma_id: str, cycle: int, nbytes: int) -> None:
-        self.bytes_by_dma.setdefault(dma_id, []).append((cycle, nbytes))
+        _append(self.bytes_by_dma[dma_id], dma_id, cycle, nbytes)
 
 
-def _window_samples(series, start: int, end: int):
-    """Samples governing [start, end): those inside plus the one before."""
+def _append(series, dma_id: str, *row) -> None:
+    """Append `row`, whose first value is its cycle, to `series`.  Cycles
+    never fall, so the window queries can bisect them."""
+    if series.cycle and row[0] < series.cycle[-1]:
+        raise OutOfOrder(f"{dma_id}: cycle {row[0]} after {series.cycle[-1]}")
+    for column, value in zip(series, row):
+        column.append(value)
+
+
+def _window_samples(series: NpiSeries, start: int, end: int) -> range:
+    """Indices of the sample in force at `start`, then of the rest to `end`."""
     if end <= start:
         raise EmptyWindow(f"window [{start}, {end}) is empty")
-    cycles = [s.cycle for s in series]
-    lo = bisect_right(cycles, start) - 1
-    hi = bisect_left(cycles, end)
-    picked = series[max(lo, 0):hi]
+    picked = range(max(bisect_right(series.cycle, start) - 1, 0),
+                   bisect_left(series.cycle, end))
     if not picked:
         raise EmptyWindow("no samples govern the window")
     return picked
 
 
-def min_npi(series, start: int, end: int) -> float:
-    return min(s.npi for s in _window_samples(series, start, end))
+def min_npi(series: NpiSeries, start: int, end: int) -> float:
+    return min(series.npi[i] for i in _window_samples(series, start, end))
 
 
-def priority_histogram(series, start: int, end: int) -> PriorityHistogram:
+def priority_histogram(series: NpiSeries, start: int,
+                       end: int) -> PriorityHistogram:
     picked = _window_samples(series, start, end)
     weights = [0.0] * PRIORITY_LEVELS
-    for i, s in enumerate(picked):
-        t0 = max(s.cycle, start)
-        t1 = picked[i + 1].cycle if i + 1 < len(picked) else end
-        t1 = min(t1, end)
+    for i in picked:
+        t0 = max(series.cycle[i], start)
+        t1 = series.cycle[i + 1] if i + 1 < picked.stop else end
         if t1 > t0:
-            weights[s.priority] += t1 - t0
+            weights[series.priority[i]] += t1 - t0
     total = sum(weights)
     if total == 0:
         raise EmptyWindow("window has zero weighted time")
-    return PriorityHistogram(picked[0].dma_id,
-                             [w / total for w in weights])
+    return PriorityHistogram([w / total for w in weights])
 
 
-def mean_priority(series, start: int, end: int) -> float:
+def mean_priority(series: NpiSeries, start: int, end: int) -> float:
     hist = priority_histogram(series, start, end)
     return sum(level * frac for level, frac in enumerate(hist.fraction_of_time))
 
 
-def bytes_in_window(pairs, start: int, end: int) -> int:
-    return sum(b for c, b in pairs if start <= c < end)
+def bytes_in_window(series: ByteSeries, start: int, end: int) -> int:
+    c = series.cycle  # the bytes counted at a cycle in [start, end)
+    return sum(series.nbytes[bisect_left(c, start):bisect_left(c, end)])
 
 
 @dataclass
@@ -120,12 +129,10 @@ def policy_comparison(reports: dict) -> list:
     from the same scenario fingerprint (name, seed, duration, frequency).
     """
     fingerprints = {p: r.fingerprint for p, r in reports.items()}
-    distinct = set(fingerprints.values())
-    if len(distinct) > 1:
+    if len(set(fingerprints.values())) > 1:
         raise MismatchedScenario(f"scenario fingerprints differ: {fingerprints}")
     rows = []
-    for policy in reports:
-        report = reports[policy]
+    for policy, report in reports.items():
         total = report.total_bandwidth()
         for dma_id in report.dma_order:
             rows.append(PolicySummaryRow(

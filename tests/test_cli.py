@@ -309,7 +309,9 @@ def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
     ("capacity = 42", "capacity = -3", "capacity"),
     ("depth = 8", "depth = -1", "depth"),
     ("cluster_depth = 2", "cluster_depth = -1", "cluster_depth"),
-    ("queue_depth = 64", "queue_depth = -1", "improc")])
+    ("queue_depth = 64", "queue_depth = -1", "improc"),
+    ("delta = 4", "delta = -1", "delta"),
+    ("delta = 4", "delta = 100000000000000000000", "delta")])
 def test_bad_dram_controller_or_noc_value_is_config_error(tmp_path, capsys,
                                                           old, new, named):
     text = Path(CASE_B).read_text(encoding="utf-8")

@@ -14,6 +14,7 @@ from sarasim.config import (ParseError, ValidationError, emit_config,
                             load_packaged_scenario, parse_config, with_policy,
                             with_frequency)
 from sarasim.controller import POLICIES
+from sarasim.core import PRIORITY_LEVELS
 
 MINIMAL = """
 name = tiny
@@ -171,6 +172,18 @@ latency_limit_cycles = 500
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValidationError, match="policy"):
             parse_config(MINIMAL + "\n[controller]\npolicy = LIFO\n")
+
+    @pytest.mark.parametrize("delta,ok", [
+        (-1, False), (0, True), (8, True), (9, False), (10 ** 20, False)])
+    def test_delta_is_a_level_from_0_to_priority_levels(self, delta, ok):
+        # QOS_RB compares the highest level with delta: 0 makes every
+        # level urgent, PRIORITY_LEVELS none; beyond them it means nothing
+        text = MINIMAL + f"\n[controller]\ndelta = {delta}\n"
+        if ok:
+            assert parse_config(text).delta == delta
+        else:
+            with pytest.raises(ValidationError, match=f"^delta {delta} "):
+                parse_config(text)
 
     def test_malformed_lut_rejected(self):
         from sarasim.meters import MalformedLut
@@ -345,7 +358,7 @@ class TestRoundTripProperties:
         cfg.epoch_cycles = draw(st.integers(1, 1000))
         cfg.policy = draw(st.sampled_from(POLICIES))
         cfg.capacity = draw(st.integers(1, 100))
-        cfg.delta = draw(st.integers(-10, 10))
+        cfg.delta = draw(st.integers(0, PRIORITY_LEVELS))
         cfg.static_split = draw(st.booleans())
         cfg.noc_depth = draw(st.integers(0, 64))
         cfg.noc_cluster_depth = draw(st.none() | st.integers(0, 64))
