@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .controller import POLICIES, QUEUE_NAMES
-from .core import PRIORITY_LEVELS, TXN_SIZE_BYTES, ValidationError
-from .dram import NEVER, DramTimingConfig
+from .core import (PRIORITY_LEVELS, TXN_SIZE_BYTES, Interval, ValidationError,
+                   within)
+from .dram import MAX_BANKS, NEVER, DramTimingConfig
 from .meters import MalformedLut, PriorityLut
 from .traffic import (BURSTY_FRAME, CREDIT_KINDS, LATENCY_PROBE,
                       SOURCE_KINDS, DmaSpec)
@@ -36,30 +37,36 @@ METER_KINDS = ("latency", "frame_progress", "occupancy", "bandwidth")
 MB = 1.0e6
 KB = 1024
 
+# numeric domains; a float key with no bound of its own takes FINITE
+FINITE = Interval(-math.inf)
+NONNEGATIVE = Interval(0)
+POSITIVE = Interval(0, open_lo=True)
+FRACTION = Interval(0.0, 1.0)
+
 
 @dataclass
 class DmaEntry:
     dma_id: str
     core: str
-    queue: str
-    cluster: str  # "media", "system" or "direct"
-    kind: str
-    meter: str
-    rate_mbps: float = 0.0
-    target_mbps: float = -1.0  # defaults to rate_mbps
-    frame_kb: float = 0.0
-    buffer_kb: float = 0.0
-    latency_limit_cycles: float = 0.0
-    direction: str = "drain"
-    queue_depth: int = 0  # 0: use the fabric-wide [noc] depth
-    window_cycles: int = 0  # 0: use the global meter_window_cycles
-    reference_slope: float = 1.0
+    queue: str = within(QUEUE_NAMES)
+    cluster: str = within(("media", "system", "direct"))
+    kind: str = within(SOURCE_KINDS)
+    meter: str = within(METER_KINDS)
+    rate_mbps: float = within(NONNEGATIVE, 0.0)
+    target_mbps: float = within(FINITE, -1.0)  # defaults to rate_mbps
+    frame_kb: float = within(FINITE, 0.0)
+    buffer_kb: float = within(FINITE, 0.0)
+    latency_limit_cycles: float = within(FINITE, 0.0)
+    direction: str = within(("drain", "fill"), "drain")
+    queue_depth: int = within(NONNEGATIVE, 0)  # 0: use the [noc] depth
+    window_cycles: int = within(NONNEGATIVE, 0)  # 0: meter_window_cycles
+    reference_slope: float = within(FINITE, 1.0)
     lut: tuple = ()
-    region_base_kb: int = 0
-    region_len_kb: int = 1024
-    locality: float = 1.0
-    read_fraction: float = 1.0
-    pace_boost: float = 2.0
+    region_base_kb: int = within(NONNEGATIVE, 0)
+    region_len_kb: int = within(POSITIVE, 1024)
+    locality: float = within(FRACTION, 1.0)
+    read_fraction: float = within(FRACTION, 1.0)
+    pace_boost: float = within(POSITIVE, 2.0)
 
     @property
     def target_bytes_per_s(self) -> float:
@@ -84,23 +91,24 @@ class DmaEntry:
 @dataclass
 class ScenarioConfig:
     name: str = "scenario"
-    seed: int = 0
-    desk_scale: int = 64
-    warmup_cycles: int = 4000
-    duration_cycles: int = 0   # 0 means warmup + duration_frames frames
-    duration_frames: int = 1
-    fps: float = 30.0
-    epoch_cycles: int = 100
-    meter_window_cycles: int = 100
-    io_freq_mhz: float = 1866.0
+    seed: int = within(NONNEGATIVE, 0)
+    desk_scale: int = within(Interval(1), 64)
+    warmup_cycles: int = within(NONNEGATIVE, 4000)
+    duration_cycles: int = within(NONNEGATIVE, 0)  # 0: warmup + frames
+    duration_frames: int = within(NONNEGATIVE, 1)
+    fps: float = within(POSITIVE, 30.0)
+    epoch_cycles: int = within(POSITIVE, 100)
+    meter_window_cycles: int = within(POSITIVE, 100)
+    io_freq_mhz: float = within(POSITIVE, 1866.0)
     dram: DramTimingConfig = field(default_factory=DramTimingConfig)
-    policy: str = "QOS"
-    capacity: int = 42
-    aging_period: int = 10000
-    delta: int = 6
+    policy: str = within(POLICIES, "QOS")
+    capacity: int = within(POSITIVE, 42)
+    aging_period: int = within(POSITIVE, 10000)
+    delta: int = within(Interval(0, PRIORITY_LEVELS), 6)
     static_split: bool = False
-    noc_depth: int = 8
-    noc_cluster_depth: int | None = None  # None: same as noc_depth
+    # a depth of 0 is legal: every offer into that queue is refused
+    noc_depth: int = within(NONNEGATIVE, 8)
+    noc_cluster_depth: int | None = within(NONNEGATIVE, None)  # None: depth
     dmas: list = field(default_factory=list)
 
     @property
@@ -122,55 +130,33 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         _check_text("name", self.name)
-        # a duration_cycles of 0 means one from duration_frames
-        for key in ("seed", "warmup_cycles", "duration_cycles",
-                    "duration_frames"):
-            if getattr(self, key) < 0:
-                raise ValidationError(f"{key} {getattr(self, key)} is negative")
-        # these feed frame_period_cycles, which resolved_duration() needs
-        if self.desk_scale < 1:
-            raise ValidationError("desk_scale must be >= 1")
-        for key in ("io_freq_mhz", "fps"):
-            value = getattr(self, key)
-            if not (0 < value < math.inf):
-                raise ValidationError(
-                    f"{key} must be positive and finite, not {value}")
+        # each key against the domain its field declares (`within`), named
+        # as in the text, where a [noc] key is noc_<key>; None is unset
+        for obj, prefix in [(self, ""), (self.dram, "[dram] "),
+                            *((e, f"{e.dma_id}: ") for e in self.dmas)]:
+            for f in dataclasses.fields(obj):
+                value, domain = getattr(obj, f.name), f.metadata.get("domain")
+                if value is not None and domain and value not in domain:
+                    key = prefix + f.name.replace("noc_", "[noc] ", 1)
+                    raise ValidationError(
+                        f"{key} {value!r} is not in {domain}")
+        if self.dram.channels * self.dram.ranks * self.dram.banks > MAX_BANKS:
+            raise ValidationError(
+                f"[dram] channels * ranks * banks exceeds {MAX_BANKS}")
+        # resolved_duration() needs a frame period of at least one cycle
         period = self.command_clock_hz / self.fps
         if not (math.isfinite(period) and round(period) >= 1):
             raise ValidationError(
                 f"fps {self.fps} at io_freq_mhz {self.io_freq_mhz} gives "
                 f"no finite frame period of at least one cycle")
-        if self.resolved_duration() <= 0:
-            raise ValidationError("duration must be positive")
-        if self.policy not in POLICIES:
-            raise ValidationError(f"unknown policy {self.policy}")
-        for key in ("epoch_cycles", "meter_window_cycles", "aging_period",
-                    "capacity"):
-            if getattr(self, key) <= 0:
-                raise ValidationError(f"{key} must be positive")
-        if not 0 <= self.delta <= PRIORITY_LEVELS:
-            raise ValidationError(
-                f"delta {self.delta} is outside 0..{PRIORITY_LEVELS}")
-        # a depth of 0 is legal: every offer into that queue is refused
-        if self.noc_depth < 0:
-            raise ValidationError("[noc] depth is negative")
-        if self.noc_cluster_depth is not None and self.noc_cluster_depth < 0:
-            raise ValidationError("[noc] cluster_depth is negative")
-        try:
-            self.dram.validate()
-        except ValueError as exc:
-            raise ValidationError(f"[dram] {exc}") from None
         if self.resolved_duration() <= self.epoch_cycles:
             # the first NPI sample is taken at cycle epoch_cycles
             raise ValidationError(
                 f"duration {self.resolved_duration()} cycles must exceed "
                 f"epoch_cycles {self.epoch_cycles}")
-        seen = set()
-        regions = []
-        for e in self.dmas:
-            if e.dma_id in seen:
+        for i, e in enumerate(self.dmas):
+            if any(d.dma_id == e.dma_id for d in self.dmas[:i]):
                 raise ValidationError(f"duplicate dma id {e.dma_id}")
-            seen.add(e.dma_id)
             _check_text("dma id", e.dma_id)
             if not e.dma_id:
                 raise ValidationError("empty dma id")
@@ -184,13 +170,11 @@ class ScenarioConfig:
                         probe_limit=_probe_limit(self), **vars(e)))
             if e.lut:
                 PriorityLut(entries=tuple(e.lut))  # validates itself
-            regions.append((e.dma_id, e.region_base_kb,
-                            e.region_base_kb + e.region_len_kb))
-        regions.sort(key=lambda r: r[1])
-        for (a, a0, a1), (b, b0, b1) in zip(regions, regions[1:]):
-            if b0 < a1:
+        regions = sorted(self.dmas, key=lambda e: e.region_base_kb)
+        for a, b in zip(regions, regions[1:]):
+            if b.region_base_kb < a.region_base_kb + a.region_len_kb:
                 raise ValidationError(
-                    f"address regions of {a} and {b} overlap")
+                    f"address regions of {a.dma_id} and {b.dma_id} overlap")
 
 
 def _probe_limit(cfg: ScenarioConfig) -> float:
@@ -209,31 +193,12 @@ def _pace(e: DmaEntry, cfg: ScenarioConfig) -> float:
     return rate
 
 
-# the per-DMA checks: a test that holds for a valid entry `e` of scenario
-# `s`, and the error text, formatted with the entry's fields and the
-# largest latency_probe rate_mbps; finite values first, since later rows
-# compute with them
-_DMA_CHECKS = tuple(
-    (lambda e, s, key=f.name: math.isfinite(getattr(e, key)),
-     f"{f.name} {{{f.name}}} is not finite")
-    for f in dataclasses.fields(DmaEntry) if f.type == "float") + (
+# the per-DMA checks that relate several keys or compute with them: a test
+# that holds for a valid entry `e` of scenario `s`, and the error text,
+# formatted with the entry's fields and the largest latency_probe rate_mbps
+_DMA_CHECKS = (
     (lambda e, s: all(map(math.isfinite, e.lut)),
      "lut {lut} has a non-finite entry"),
-    (lambda e, s: e.kind in SOURCE_KINDS, "unknown kind {kind}"),
-    (lambda e, s: e.meter in METER_KINDS, "unknown meter {meter}"),
-    (lambda e, s: e.queue in QUEUE_NAMES, "unknown queue {queue}"),
-    (lambda e, s: e.cluster in ("media", "system", "direct"),
-     "unknown cluster {cluster}"),
-    (lambda e, s: 0.0 <= e.locality <= 1.0, "locality out of range"),
-    (lambda e, s: 0.0 <= e.read_fraction <= 1.0,
-     "read_fraction out of range"),
-    (lambda e, s: e.rate_mbps >= 0, "rate_mbps is negative"),
-    (lambda e, s: e.window_cycles >= 0, "window_cycles is negative"),
-    (lambda e, s: e.queue_depth >= 0, "queue_depth is negative"),
-    (lambda e, s: e.direction in ("drain", "fill"),
-     "unknown direction {direction}"),
-    (lambda e, s: e.region_base_kb >= 0, "region_base_kb is negative"),
-    (lambda e, s: e.region_len_kb > 0, "region_len_kb must be positive"),
     # a random jump draws a slot of the region with rng.DmaStream.integers
     (lambda e, s: e.locality >= 1
      or e.region_len_kb * KB // TXN_SIZE_BYTES <= 2 ** 63,
@@ -242,7 +207,6 @@ _DMA_CHECKS = tuple(
     # spec_for converts the scaled frame to whole bytes
     (lambda e, s: math.isfinite(e.frame_kb * KB),
      "frame_kb {frame_kb:g} overflows when scaled to bytes"),
-    (lambda e, s: e.pace_boost > 0, "pace_boost must be positive"),
     (lambda e, s: e.kind != LATENCY_PROBE or e.rate_mbps <= _probe_limit(s),
      "latency_probe rate_mbps {rate_mbps:g} exceeds one transaction per "
      "command cycle ({probe_limit:g})"),
@@ -450,7 +414,8 @@ def with_policy(cfg: ScenarioConfig, policy: str) -> ScenarioConfig:
 
 
 def with_frequency(cfg: ScenarioConfig, io_freq_mhz: float) -> ScenarioConfig:
-    if not 0 < io_freq_mhz < math.inf:
-        raise ValidationError(
-            f"frequency must be finite and positive, not {io_freq_mhz}")
+    domain = cfg.__dataclass_fields__["io_freq_mhz"].metadata["domain"]
+    if io_freq_mhz not in domain:
+        raise ValidationError(f"frequency {io_freq_mhz} is not a finite "
+                              f"number in {domain}")
     return _clone(cfg, io_freq_mhz=io_freq_mhz)

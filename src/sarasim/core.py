@@ -7,7 +7,8 @@ stamps needed by the performance meters and the metrics sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field
 
 PRIORITY_BITS = 3
 PRIORITY_LEVELS = 1 << PRIORITY_BITS  # 0 = healthy/lowest urgency, 7 = highest
@@ -19,6 +20,28 @@ WRITE = 1
 
 class ValidationError(Exception):
     """A scenario value that parses but is out of range or inconsistent."""
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The finite numbers from `lo` (excluded if `open_lo`) to `hi`."""
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo < value if self.open_lo else self.lo <= value)
+                and value <= self.hi and abs(value) != math.inf)
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.open_lo or self.lo == -math.inf else '['}"
+                f"{self.lo}, {self.hi}{')' if self.hi == math.inf else ']'}")
+
+
+def within(domain, default=MISSING):
+    """A dataclass field whose value must lie in `domain`, an `Interval` or
+    a tuple of the allowed values, as `ScenarioConfig.validate` checks."""
+    return field(default=default, metadata={"domain": domain})
 
 
 def next_in_turn(indices, pointer: int) -> int:

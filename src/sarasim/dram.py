@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import READ, TXN_SIZE_BYTES, Transaction
+from .core import READ, TXN_SIZE_BYTES, Interval, Transaction, within
 
 ROW_HIT = 0
 ROW_MISS = 1
@@ -39,33 +39,29 @@ class InvalidWindow(Exception):
     pass
 
 
+# [dram] bounds: the bank state grows with channels * ranks * banks, the
+# work of every cycle with channels, and each data-bus bit mask with timings
+MAX_BANKS = 1 << 16
+POWERS_OF_TWO = tuple(1 << i for i in range(MAX_BANKS.bit_length()))
+TIMING = Interval(1, 1 << 20)
+
+
 @dataclass
 class DramTimingConfig:
-    CL: int = 36
-    tRCD: int = 34
-    tRP: int = 34
-    tWTR: int = 19
-    tRTP: int = 14
-    tWR: int = 34
-    tRRD: int = 19
-    tFAW: int = 75
-    tBURST: int = 8
-    channels: int = 2
-    ranks: int = 2
-    banks: int = 8
-    column_bits: int = 5  # columns per row per channel = 2**column_bits
-
-    def validate(self) -> None:
-        for name in ("CL", "tRCD", "tRP", "tWTR", "tRTP", "tWR", "tRRD",
-                     "tFAW", "tBURST"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"timing {name} must be positive")
-        for name in ("channels", "ranks", "banks"):
-            v = getattr(self, name)
-            if v <= 0 or v & (v - 1):
-                raise ValueError(f"{name} must be a positive power of two")
-        if self.column_bits < 0:
-            raise ValueError("column_bits is negative")
+    CL: int = within(TIMING, 36)
+    tRCD: int = within(TIMING, 34)
+    tRP: int = within(TIMING, 34)
+    tWTR: int = within(TIMING, 19)
+    tRTP: int = within(TIMING, 14)
+    tWR: int = within(TIMING, 34)
+    tRRD: int = within(TIMING, 19)
+    tFAW: int = within(TIMING, 75)
+    tBURST: int = within(TIMING, 8)
+    channels: int = within(POWERS_OF_TWO[:9], 2)  # at most 256
+    ranks: int = within(POWERS_OF_TWO, 2)
+    banks: int = within(POWERS_OF_TWO, 8)
+    # columns per row per channel = 2**column_bits
+    column_bits: int = within(Interval(0, 32), 5)
 
 
 def service_latency(classification: int, timing: DramTimingConfig) -> int:

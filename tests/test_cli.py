@@ -1,12 +1,17 @@
 """Command-line interface: verbs, output files, and exit codes."""
 
+import contextlib
+import io
 import re
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sarasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from sarasim.config import emit_config, load_packaged_scenario
 
 CASE_A = str(resources.files("sarasim.scenarios") / "case_a.cfg")
 CASE_B = str(resources.files("sarasim.scenarios") / "case_b.cfg")
@@ -535,3 +540,52 @@ def test_nonfinite_frequency_is_config_error_before_any_run(
     err = capsys.readouterr().err
     assert "frequency" in err and "runtime error" not in err
     assert runs == [] and not out.exists()
+
+
+def test_run_of_warmup_and_frames_both_zero_is_config_error(tmp_path,
+                                                            capsys):
+    # the duration resolves to 0 cycles, within the first epoch
+    text = Path(CASE_B).read_text(encoding="utf-8")
+    assert "warmup_cycles = 12000" in text and "duration_frames = 1" in text
+    path = tmp_path / "case_b.cfg"
+    path.write_text(text.replace("warmup_cycles = 12000", "warmup_cycles = 0")
+                    .replace("duration_frames = 1", "duration_frames = 0"))
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(path), "-o", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "epoch_cycles" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# every key of case B, each on its own `key = value` line
+CANONICAL_B = emit_config(load_packaged_scenario("B")).splitlines()
+KEY_LINES = [i for i, line in enumerate(CANONICAL_B) if " = " in line]
+EDGE_VALUES = ["0", "-1", "1", str(2 ** 31), str(2 ** 63), str(2 ** 64),
+               "1e308", "1e-320", "nan", "inf", "", "x" * 300, "9" * 300,
+               "\u00e9t\u00e9 \u2603"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(KEY_LINES),
+                                st.sampled_from(EDGE_VALUES)),
+                      min_size=1, max_size=3, unique_by=lambda e: e[0]))
+def test_edge_values_run_or_are_one_config_error(edits):
+    # a value out of a key's domain must exit 1 with one line, never 2
+    lines = list(CANONICAL_B)
+    for i, value in edits:
+        lines[i] = lines[i].partition(" = ")[0] + " = " + value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "case_b.cfg", Path(tmp) / "out"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "-c", str(path), "--duration", "3000",
+                       "-o", str(out)])
+        assert rc in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+        if rc == EXIT_CONFIG:
+            assert err.getvalue().startswith("configuration error:")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert (out / "npi_QOS.csv").exists()
+            assert (out / "summary.csv").exists()

@@ -227,6 +227,36 @@ latency_limit_cycles = 500
             with pytest.raises(ValidationError, match="^gpu: region_len_kb"):
                 cfg.validate()
 
+    @pytest.mark.parametrize("changes,named", [
+        ({"CL": 2 ** 31}, "CL"), ({"tRCD": 2 ** 31}, "tRCD"),
+        ({"tRP": 2 ** 31}, "tRP"), ({"tBURST": 2 ** 31}, "tBURST"),
+        ({"tFAW": 2 ** 20 + 1}, "tFAW"), ({"channels": 2 ** 31}, "channels"),
+        ({"channels": 512, "ranks": 1, "banks": 1}, "channels"),
+        ({"ranks": 2 ** 20}, "ranks"), ({"banks": 2 ** 31}, "banks"),
+        ({"channels": 64, "ranks": 64, "banks": 64}, "banks"),
+        ({"column_bits": 2 ** 63}, "column_bits"),
+        ({"column_bits": 33}, "column_bits"), ({"CL": 0}, "CL"),
+        ({"channels": 3}, "channels")])
+    def test_dram_key_beyond_its_bound_is_rejected(self, changes, named):
+        # each exited 2 or ran out of memory: the bank state grows with
+        # channels * ranks * banks, each bus bit mask with the timings
+        cfg = load_packaged_scenario("B")
+        for key, value in changes.items():
+            setattr(cfg.dram, key, value)
+        with pytest.raises(ValidationError, match=rf"^\[dram\] .*{named}"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("changes", [
+        {"CL": 2 ** 20, "tRP": 2 ** 20, "tBURST": 2 ** 20},
+        {"channels": 256, "ranks": 1, "banks": 1},
+        {"channels": 1, "ranks": 2 ** 16, "banks": 1},
+        {"channels": 4, "ranks": 4, "banks": 2 ** 12}, {"column_bits": 32}])
+    def test_dram_key_at_its_bound_is_accepted(self, changes):
+        cfg = load_packaged_scenario("B")
+        for key, value in changes.items():
+            setattr(cfg.dram, key, value)
+        cfg.validate()
+
     @pytest.mark.parametrize("text", ["a#b", "a\nb", " a", "a "])
     @pytest.mark.parametrize("field,label", [
         ("name", "name"), ("dma_id", "dma id"), ("core", "display: core")])
