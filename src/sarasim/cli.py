@@ -68,9 +68,9 @@ def _load(args) -> ScenarioConfig:
     path = args.config  # a file, else a shipped scenario's name
     cfg = (load_packaged_scenario(path) if path in ("A", "B", "sweep")
            and not os.path.exists(path) else load_config(path))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         if args.duration <= 0:
             raise ValidationError(
                 f"--duration must be positive, not {args.duration}")

@@ -45,7 +45,8 @@ QOS_RB's checks) walk all of them.
 `next_try`.  A scan that finds nothing ready sets `next_try` to the
 earliest cached issue cycle of the channel.  An enqueue resets it only when
 the transaction opens a new group: a transaction that joins a group shares
-the group's issue cycle, which `next_try` already counts.
+the group's issue cycle, which `next_try` already counts.  `select` scans
+whenever it is called: the caller skips a channel until its `next_try`.
 """
 
 from __future__ import annotations
@@ -239,14 +240,8 @@ class ControllerState:
         return self._priority_round_robin(ready, hits)
 
     def select(self, dram: DramModel, channel: int, now: int):
-        """Pick and remove one issuable transaction for `channel`, or None.
-
-        When nothing is issuable, `next_try[channel]` is advanced so the
-        caller can skip select until a new group or that cycle arrives;
-        the engine reads `next_try` before it calls.
-        """
-        if now < self.next_try[channel]:
-            return None
+        """Pick and remove one issuable transaction for `channel`; with none,
+        return None and set `next_try[channel]`, which the caller reads."""
         ready, hits, horizon = self._ready(dram, channel, now)
         if not ready:
             self.next_try[channel] = horizon

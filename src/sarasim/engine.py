@@ -19,9 +19,9 @@ below); ties pop in DMA id order.  Phase 2 runs only on an epoch, frame or
 aging boundary (`_boundary`, which `step` and `skip_idle` keep).  An epoch
 re-levels a DMA's leaf (`NocFabric.relevel`) only when the DMA's level
 changed, because every request in the leaf was made at, or re-levelled
-to, the old level.  Phase 4 calls `ControllerState.select` only for a
-channel whose `next_try` has come.  The NoC skips its own idle clusters
-and full-pool enqueues (see `noc`).
+to, the old level.  Phase 4 is the only `next_try` gate: it calls
+`ControllerState.select` only for a channel whose `next_try` has come.
+The NoC skips its own idle clusters and full-pool enqueues (see `noc`).
 
 A generator whose leaf queue is full is parked: it is not polled until the
 NoC takes a head from that leaf (`NocFabric.drained`).  Its polls in the
@@ -270,7 +270,7 @@ class World:
             drained.clear()
 
         # phase 4: scheduling + DRAM issue on each channel whose next_try
-        # has come (select would return None before it; this saves the call)
+        # has come; this is the only next_try gate (select scans when called)
         next_try = self.controller.next_try
         for ch in self._channels:
             if now < next_try[ch]:
@@ -390,12 +390,10 @@ class World:
         )
 
 
-def run(scenario: ScenarioConfig, duration_cycles: int | None = None
-        ) -> SimulationReport:
-    """Run a scenario to completion and return its report."""
+def run(scenario: ScenarioConfig) -> SimulationReport:
+    """Run a scenario for its `resolved_duration` and return its report."""
     world = World(scenario)
-    total = scenario.resolved_duration() if duration_cycles is None \
-        else duration_cycles
+    total = scenario.resolved_duration()
     while world.cycle < total:
         world.step()
         world.skip_idle(total)

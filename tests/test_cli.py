@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from sarasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from sarasim.config import emit_config, load_packaged_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
 CASE_A = str(resources.files("sarasim.scenarios") / "case_a.cfg")
 CASE_B = str(resources.files("sarasim.scenarios") / "case_b.cfg")
 
@@ -238,11 +242,13 @@ def case_b_with(tmp_path, dma, key, value):
     ("display", "pace_boost", "nan", "'pace_boost'"),
     ("improc", "frame_kb", "inf", "'frame_kb'"),
     ("dsp", "rate_mbps", "inf", "'rate_mbps'"),  # a probe with mean 0
+    ("wifi", "rate_mbps", "nan", "'rate_mbps'"),
     ("wifi", "rate_mbps", "-5", "wifi"),
     ("dsp", "region_base_kb", "-4096", "dsp"),
     # a pace_boost of 0 divided by zero, and a negative one or an empty
     # buffer left display reading healthy while it moved nothing
     ("display", "pace_boost", "0.0", "display"),
+    ("display", "pace_boost", "0", "display"),
     ("display", "pace_boost", "-1.0", "display"),
     ("display", "buffer_kb", "0.0", "display"),
     ("display", "buffer_kb", "-5.0", "display"),
@@ -310,6 +316,8 @@ def test_meter_input_errors_are_config_errors_on_every_verb(tmp_path,
 @pytest.mark.parametrize("old,new,named", [
     ("io_freq_mhz = 1700", "io_freq_mhz = 1700\nchannels = 3", "channels"),
     ("io_freq_mhz = 1700", "io_freq_mhz = 1700\nCL = 0", "CL"),
+    ("io_freq_mhz = 1700", "io_freq_mhz = 1700\nCL = 2147483648",
+     "[dram] CL"),
     ("capacity = 42", "capacity = 0", "capacity"),
     ("capacity = 42", "capacity = -3", "capacity"),
     ("depth = 8", "depth = -1", "depth"),
@@ -394,10 +402,11 @@ def test_nonpositive_duration_option_is_config_error(tmp_path, capsys,
     ["run", "-c", "B", "--duration", "1e3"],
     ["run"],
     ["bogus"],
+    ["frobnicate", "-c", "B"],
     [],
     ["list-cores", "-c", "B", "-o", "x"],
-], ids=["policy", "seed", "duration", "no-config", "verb", "no-verb",
-        "unknown-option"])
+], ids=["policy", "seed", "duration", "no-config", "verb", "verb-with-config",
+        "no-verb", "unknown-option"])
 def test_malformed_command_line_is_config_error(tmp_path, capsys,
                                                 monkeypatch, argv):
     # argparse's own usage errors exit 2, the runtime-error code
@@ -407,6 +416,29 @@ def test_malformed_command_line_is_config_error(tmp_path, capsys,
     assert captured.err.startswith("configuration error: sarasim")
     assert "usage:" not in captured.err and "Traceback" not in captured.err
     assert not any(tmp_path.iterdir())
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # `python -m sarasim.cli` passes main()'s return value to sys.exit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "sarasim.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    proc = cli("run", "-c", "B", "--duration", "3000", "-o", "out")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("npi_QOS.csv", "summary.csv"):
+        assert (tmp_path / "out" / name).stat().st_size > 0
+    proc = cli("run", "-c", "B", "--seed", "-1", "-o", "rejected")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("configuration error:")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    proc = cli("run", "-c", "B", "--duration", "3000",
+               "-o", str(tmp_path / "out" / "summary.csv"))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("runtime error:")
 
 
 def test_help_still_exits_0(capsys):
@@ -465,6 +497,19 @@ def test_malformed_frequency_is_config_error(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "abc" in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "-c", "B", "--dma", "display", "--frequencies", "abc"],
+    ["compare", "-c", "B", "--policies", "QOS,QOS"]],
+    ids=["frequency-word", "policy-twice"])
+def test_bad_list_option_is_one_config_error_line(tmp_path, capsys, argv):
+    # the whole list is checked before the first run
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_negative_warmup_is_config_error(tmp_path, capsys):

@@ -470,15 +470,10 @@ class TestCachedReadySet:
                 at = {t.id: dram.earliest_issue(t, now) for t in held}
                 ready = [t for t in held if at[t.id] == now]
                 horizon = min(at.values(), default=NEVER)
-                scans = now >= ctrl.next_try.get(ch, 0)
                 rr = ctrl.rr_pointer
                 expect = select_from(ctrl, ready, dram) if ready else None
                 ctrl.rr_pointer = rr
                 got = ctrl.select(dram, ch, now)
-                if not scans:
-                    # skipped: nothing can be ready before next_try
-                    assert not ready and ctrl.next_try[ch] == horizon
-                    continue
                 assert got is expect
                 assert ctrl.next_try[ch] == (0 if ready else horizon)
                 for t in held:

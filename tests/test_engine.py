@@ -2,6 +2,7 @@
 transaction conservation, and degenerate worlds."""
 
 import copy
+import dataclasses
 import hashlib
 
 import pytest
@@ -57,20 +58,25 @@ def mini_cfg():
     return parse_config(MINI)
 
 
+def run_for(cfg, cycles):
+    """`engine.run` of `cfg` with its duration set to `cycles`."""
+    return engine.run(dataclasses.replace(cfg, duration_cycles=cycles))
+
+
 class TestRun:
     def test_uncontended_dma_stays_healthy(self):
-        report = engine.run(mini_cfg(), duration_cycles=20_000)
+        report = run_for(mini_cfg(), 20_000)
         assert report.min_npi("dsp") >= 1.0
         assert report.min_npi("wifi") >= 1.0
 
     def test_transaction_conservation(self):
-        report = engine.run(mini_cfg(), duration_cycles=20_000)
+        report = run_for(mini_cfg(), 20_000)
         assert report.generated == report.completed + report.resident_at_end
         assert report.completed > 0
 
     def test_deterministic_reports(self):
-        a = engine.run(mini_cfg(), duration_cycles=20_000)
-        b = engine.run(mini_cfg(), duration_cycles=20_000)
+        a = run_for(mini_cfg(), 20_000)
+        b = run_for(mini_cfg(), 20_000)
         assert a.sink.series["dsp"] == b.sink.series["dsp"]
         assert a.completed == b.completed
         assert a.total_bytes == b.total_bytes
@@ -78,8 +84,8 @@ class TestRun:
     def test_seed_changes_probe_timing(self):
         cfg_a, cfg_b = mini_cfg(), mini_cfg()
         cfg_b.seed = 2
-        a = engine.run(cfg_a, duration_cycles=20_000)
-        b = engine.run(cfg_b, duration_cycles=20_000)
+        a = run_for(cfg_a, 20_000)
+        b = run_for(cfg_b, 20_000)
         sa, sb = a.sink.series["dsp"], b.sink.series["dsp"]
         assert (sa.cycle, sa.npi) != (sb.cycle, sb.npi)
 
@@ -88,35 +94,50 @@ class TestRun:
         for e in cfg.dmas:
             e.rate_mbps = 0.0
             e.target_mbps = 0.0
-        report = engine.run(cfg, duration_cycles=5_000)
+        report = run_for(cfg, 5_000)
         assert report.generated == 0
         assert report.completed == 0
 
     def test_one_issue_per_channel_per_cycle(self):
         # each channel moves at most 64 bytes per tBURST window
-        report = engine.run(mini_cfg(), duration_cycles=20_000)
+        report = run_for(mini_cfg(), 20_000)
         channels = 2
         ceiling = (20_000 / 8 + 1) * 64 * channels
         assert report.total_bytes <= ceiling
 
     def test_policy_is_reported(self):
         cfg = with_policy(mini_cfg(), "FR_FCFS")
-        report = engine.run(cfg, duration_cycles=10_000)
+        report = run_for(cfg, 10_000)
         assert report.policy == "FR_FCFS"
 
     def test_all_policies_run_clean(self):
         # smoke: no IllegalIssue or accounting error under any policy
         for policy in ("FCFS", "RR", "FRAME_QOS", "QOS", "QOS_RB", "FR_FCFS"):
-            report = engine.run(with_policy(mini_cfg(), policy),
-                                duration_cycles=8_000)
+            report = run_for(with_policy(mini_cfg(), policy), 8_000)
             assert report.generated == (report.completed
                                         + report.resident_at_end)
 
     def test_row_accounting_is_consistent(self):
-        report = engine.run(mini_cfg(), duration_cycles=20_000)
+        report = run_for(mini_cfg(), 20_000)
         total = report.row_hits + report.row_misses + report.bank_opens
         assert total > 0
         assert 0.0 <= report.row_hit_rate <= 1.0
+
+    def test_fingerprint_names_the_run_length(self):
+        cfg = load_packaged_scenario("B")
+        report = run_for(cfg, 3_000)
+        assert report.duration_cycles == 3_000
+        assert report.fingerprint == dataclasses.replace(
+            cfg, duration_cycles=3_000).fingerprint()
+        assert report.duration_cycles in report.fingerprint
+
+    def test_runs_of_different_lengths_are_not_compared(self):
+        # a 3,000-cycle run once shared the fingerprint of a 20,000-cycle
+        # one, and its bandwidth read 0 in the comparison's rows
+        cfg = load_packaged_scenario("B")
+        reports = {"short": run_for(cfg, 3_000), "long": run_for(cfg, 20_000)}
+        with pytest.raises(metrics.MismatchedScenario):
+            metrics.policy_comparison(reports)
 
     def test_world_leaves_the_config_unchanged(self):
         cfg = load_packaged_scenario("A")
@@ -128,7 +149,7 @@ class TestRun:
         assert cfg == before
 
     def test_latency_meter_sees_noc_plus_dram_latency(self):
-        report = engine.run(mini_cfg(), duration_cycles=20_000)
+        report = run_for(mini_cfg(), 20_000)
         # minimum possible wait: one NoC hop plus a closed-bank access
         assert report.max_wait >= 1 + 34 + 36 + 8
 
@@ -157,8 +178,7 @@ CASE_A_DIGESTS = {
 
 @pytest.mark.parametrize("policy", list(CASE_A_DIGESTS))
 def test_case_a_outputs_match_recorded_digests(tmp_path, policy):
-    report = engine.run(with_policy(load_packaged_scenario("A"), policy),
-                        duration_cycles=20_000)
+    report = run_for(with_policy(load_packaged_scenario("A"), policy), 20_000)
     npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
     write_npi_csv(npi, report)
     write_summary_csv(summary, metrics.policy_comparison({policy: report}))
@@ -219,20 +239,20 @@ class TestFastForward:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_mini_equals_per_cycle_loop(self, policy):
         cfg = with_policy(mini_cfg(), policy)
-        assert (outcome(engine.run(cfg, duration_cycles=20_000))
+        assert (outcome(run_for(cfg, 20_000))
                 == outcome(stepped(cfg, 20_000)))
 
     def test_full_leaves_equal_per_cycle_loop(self):
         # with zero-depth queues every poll finds its leaf full
         cfg = parse_config(MINI.replace("[dma dsp]",
                                         "[noc]\ndepth = 0\n\n[dma dsp]"))
-        assert (outcome(engine.run(cfg, duration_cycles=5_000))
+        assert (outcome(run_for(cfg, 5_000))
                 == outcome(stepped(cfg, 5_000)))
 
     @pytest.mark.parametrize("case", ["A", "B", "sweep"])
     def test_packaged_scenarios_equal_per_cycle_loop(self, case):
         cfg = load_packaged_scenario(case)
-        assert (outcome(engine.run(cfg, duration_cycles=30_000))
+        assert (outcome(run_for(cfg, 30_000))
                 == outcome(stepped(cfg, 30_000)))
 
     def test_duration_ending_inside_a_skip(self):
@@ -241,7 +261,7 @@ class TestFastForward:
         gaps = [c for c, nxt in zip(cycles, cycles[1:]) if nxt - c > 2]
         end = gaps[len(gaps) // 2] + 2  # strictly inside a skipped stretch
         assert end not in cycles
-        assert (outcome(engine.run(cfg, duration_cycles=end))
+        assert (outcome(run_for(cfg, end))
                 == outcome(stepped(cfg, end)))
 
 
@@ -283,7 +303,7 @@ class TestParkedGenerators:
         world = PollingWorld(cfg)
         for _ in range(30_000):
             world.step()
-        assert (outcome(engine.run(cfg, duration_cycles=30_000))
+        assert (outcome(run_for(cfg, 30_000))
                 == outcome(world.report()))
 
 
@@ -385,7 +405,7 @@ class TestGateParking:
             world.skip_idle(20_000)
         assert world._gated, "no stream gate-parked after cycle 10,000"
         end = world.cycle
-        assert (outcome(engine.run(cfg, duration_cycles=end))
+        assert (outcome(run_for(cfg, end))
                 == outcome(stepped(cfg, end, PollingWorld)))
 
 
@@ -429,7 +449,7 @@ def memo_hits(monkeypatch, cfg, cycles):
         fabrics.append(fab)
         return fab
     monkeypatch.setattr(engine, "NocFabric", fabric)
-    engine.run(cfg, duration_cycles=cycles)
+    run_for(cfg, cycles)
     return tuple(fabrics[0].hits)
 
 
@@ -520,8 +540,7 @@ AGING_DIGESTS = {
 @pytest.mark.parametrize("scenario,policy", list(AGING_DIGESTS))
 def test_aging_outputs_match_recorded_digests(tmp_path, scenario, policy):
     text = {"CONTENDED": CONTENDED, "CLUSTERED": CLUSTERED}[scenario]
-    report = engine.run(with_policy(parse_config(text), policy),
-                        duration_cycles=20_000)
+    report = run_for(with_policy(parse_config(text), policy), 20_000)
     npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
     write_npi_csv(npi, report)
     write_summary_csv(summary, metrics.policy_comparison({policy: report}))
@@ -551,8 +570,7 @@ class TestAgingGate:
         monkeypatch.setattr(ControllerState, "apply_aging",
                             counted_apply_aging)
         monkeypatch.setattr(NocFabric, "age_resident", counted_age_resident)
-        engine.run(with_policy(parse_config(CONTENDED), policy),
-                   duration_cycles=5_000)
+        run_for(with_policy(parse_config(CONTENDED), policy), 5_000)
         boundaries = ([(now, 250) for now in range(250, 5_000, 250)]
                       if policy in ("QOS", "QOS_RB") else [])
         assert calls == {"controller": boundaries, "noc": boundaries}
@@ -673,7 +691,7 @@ class TestStaticSplit:
             assert max(held) <= share
             cycles_at_share += share in held
         assert cycles_at_share > 0  # the split binds
-        report = engine.run(cfg, duration_cycles=20_000)
+        report = run_for(cfg, 20_000)
         assert outcome(report) == outcome(world.report())
         assert report.generated == report.completed + report.resident_at_end
         npi, summary = tmp_path / "npi.csv", tmp_path / "summary.csv"
@@ -709,7 +727,7 @@ def streams(monkeypatch, cfg, cycles):
             (t.kind, t.address) for t in txns)
         return txns
     monkeypatch.setattr(traffic.Generator, "next_requests", recording)
-    engine.run(cfg, duration_cycles=cycles)
+    run_for(cfg, cycles)
     monkeypatch.undo()
     return out
 
@@ -758,7 +776,7 @@ class TestArrivalOrder:
         monkeypatch.setattr(ControllerState, "select", recording_select)
         cfg = (parse_config(CONTENDED) if case == "contended"
                else load_packaged_scenario(case))
-        engine.run(with_policy(cfg, policy), duration_cycles=30_000)
+        run_for(with_policy(cfg, policy), 30_000)
         cycles = [now for now, _ in calls]
         enqueued = {now for now, name in calls if name == "enqueue"}
         assert len(enqueued) > 1 and cycles == sorted(cycles)
