@@ -473,6 +473,9 @@ class TestCachedReadySet:
                 rr = ctrl.rr_pointer
                 expect = select_from(ctrl, ready, dram) if ready else None
                 ctrl.rr_pointer = rr
+                if now < ctrl.next_try.get(ch, 0):
+                    # nothing can be ready before the cached next_try
+                    assert not ready and ctrl.next_try[ch] == horizon
                 got = ctrl.select(dram, ch, now)
                 assert got is expect
                 assert ctrl.next_try[ch] == (0 if ready else horizon)
